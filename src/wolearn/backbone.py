@@ -1,15 +1,23 @@
 """Small fully-connected networks with hand-written reverse-mode gradients.
 
-Supports weighted regression (squared error) and binary classification
-(logistic loss) on flat feature vectors. Sample weights may be negative:
-the objective is (1/sum_i w_i) * sum_i w_i * loss_i, normalized once over
-the full training set so per-batch gradients stay stable. All randomness
-flows from a single seed, so fits are bitwise reproducible.
+Supports weighted regression (squared error), binary classification
+(logistic loss) and a weighted quadratic objective on flat feature vectors.
+Sample weights may be negative: the objective is (1/sum_i w_i) * sum_i w_i *
+loss_i, normalized once over the full training set so per-batch gradients
+stay stable.
+
+One trainer fits a stack of K same-shape networks in lockstep: their
+parameters live in one (K, P) array with per-layer views into it, the
+forward and backward passes are stacked matmuls, and Adam updates the whole
+array at once. The only per-task input is the per-sample loss gradient.
+Every network draws its initialization, epoch permutations and dropout
+masks from its own seed, so its parameters are bitwise the same whether it
+trains alone or in a stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,59 +44,90 @@ class Hyperparameters:
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
 
 
-def _init_params(layer_dims, rng):
-    params = []
-    for d_in, d_out in zip(layer_dims[:-1], layer_dims[1:]):
-        w = rng.normal(0.0, np.sqrt(2.0 / d_in), size=(d_in, d_out))
-        params.append((w, np.zeros(d_out)))
-    return params
+def _size(dims):
+    return sum(d_in * d_out + d_out for d_in, d_out in zip(dims[:-1], dims[1:]))
 
 
-def _forward(params, x, dropout=0.0, rng=None):
-    """Returns (output (n,), per-layer activations for backprop). With
-    dropout > 0 hidden units are dropped (inverted scaling) and the kept
-    masks are returned alongside the activations."""
+def _layers(flat, dims):
+    """Per-layer (W (..., d_in, d_out), b (..., d_out)) views into the
+    parameters flat (..., P); writing to a view writes to `flat`."""
+    lead = flat.shape[:-1]
+    views, lo = [], 0
+    for d_in, d_out in zip(dims[:-1], dims[1:]):
+        w = flat[..., lo : lo + d_in * d_out].reshape(*lead, d_in, d_out, copy=False)
+        lo += d_in * d_out
+        views.append((w, flat[..., lo : lo + d_out]))
+        lo += d_out
+    return views
+
+
+def _init_params(flat, dims, rng):
+    """He-normal weights into one network's zeroed parameters (P,)."""
+    for w, _ in _layers(flat, dims):
+        w[...] = rng.normal(0.0, np.sqrt(2.0 / w.shape[0]), size=w.shape)
+
+
+def _forward(layers, x, dropout=0.0, rngs=()):
+    """Outputs (..., n) of a stack of networks on inputs x (..., n, d), and
+    the per-layer activations and dropout masks for backprop. Biases must
+    broadcast against (..., n, d_out). With dropout > 0 hidden units are
+    dropped (inverted scaling); network k draws its masks from rngs[k]."""
     acts = [x]
     masks = [None]
     h = x
-    for i, (w, b) in enumerate(params):
+    for i, (w, b) in enumerate(layers):
         z = h @ w + b
-        if i < len(params) - 1:
+        if i < len(layers) - 1:
             h = np.maximum(z, 0.0)
+            keep = None
             if dropout > 0.0:
-                keep = (rng.uniform(size=h.shape) >= dropout) / (1.0 - dropout)
+                draws = np.empty(h.shape)
+                for k, rng in enumerate(rngs):
+                    rng.random(out=draws[k])  # U[0, 1), drawn in place
+                keep = (draws >= dropout) / (1.0 - dropout)
                 h = h * keep
-                masks.append(keep)
-            else:
-                masks.append(None)
+            masks.append(keep)
         else:
             h = z
             masks.append(None)
         acts.append(h)
-    return h[:, 0], (acts, masks)
+    return h[..., 0], (acts, masks)
 
 
-def _backward(params, cache, dout):
-    """dout: gradient of the objective w.r.t. the linear output, shape (n,).
-    Returns per-layer (dW, db) matching params."""
+def _backward(layers, cache, dout, grads):
+    """dout: gradient of the objective w.r.t. the linear outputs, (..., n).
+    Writes the per-layer (dW, db) into `grads`, views shaped like `layers`."""
     acts, masks = cache
-    grads = [None] * len(params)
-    delta = dout[:, None]
-    for i in range(len(params) - 1, -1, -1):
-        w, _ = params[i]
-        h_in = acts[i]
-        grads[i] = (h_in.T @ delta, delta.sum(axis=0))
+    delta = dout[..., None]
+    for i in range(len(layers) - 1, -1, -1):
+        gw, gb = grads[i]
+        np.matmul(acts[i].mT, delta, out=gw)
+        np.add.reduce(delta, axis=-2, out=gb)
         if i > 0:
             # (acts > 0) covers the ReLU gate; the mask re-applies the
             # inverted-dropout keep/scale factor where one was used.
-            delta = (delta @ w.T) * (acts[i] > 0.0)
+            delta = (delta @ layers[i][0].mT) * (acts[i] > 0.0)
             if masks[i] is not None:
                 delta = delta * masks[i]
-    return grads
 
 
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+
+
+# Per-sample gradients of each loss w.r.t. the linear output; the columns
+# after `pred` are the per-sample arrays a Problem carries.
+def _logistic_grad(pred, y):
+    return _sigmoid(pred) - y
+
+
+def _squared_grad(pred, y, w):
+    return 2.0 * (pred - y) * w
+
+
+def _quadratic_grad(pred, w, q):
+    # d/dg of w g^2 - 2 q g
+    return 2.0 * (w * pred - q)
 
 
 @dataclass
@@ -111,7 +150,7 @@ class Network:
     """A trained network; `task` is "regression" or "classification"."""
 
     def __init__(self, params, x_std, task, y_mean=0.0, y_scale=1.0):
-        self.params = params
+        self.params = params  # [(W (d_in, d_out), b (d_out,)) per layer]
         self.x_std = x_std
         self.task = task
         self.y_mean = y_mean
@@ -152,89 +191,145 @@ class Network:
             )
 
 
-def _loss_grad(task, pred, target):
-    """Per-sample (loss, dloss/dlinear-output)."""
-    if task == "regression":
-        r = pred - target
-        return r * r, 2.0 * r
-    p = _sigmoid(pred)
-    eps = 1e-12
-    loss = -(target * np.log(p + eps) + (1.0 - target) * np.log(1.0 - p + eps))
-    return loss, p - target
+@dataclass
+class Problem:
+    """One training problem as the trainer sees it: standardized inputs,
+    the per-sample columns its loss gradient reads, and the output scaling
+    of the network it yields. Build with `classification_problem`,
+    `regression_problem` or `quadratic_problem`."""
+
+    x: np.ndarray  # standardized inputs (n, d)
+    columns: tuple  # per-sample arrays (n,), passed to loss_grad after pred
+    loss_grad: object
+    x_std: _Standardizer
+    task: str
+    y_mean: float = 0.0
+    y_scale: float = 1.0
 
 
-def _fit(x, y, weights, hp: Hyperparameters, task: str):
+def _inputs(x, *per_sample):
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or y.shape != (x.shape[0],):
-        raise ParameterError("x must be (n, d) and y (n,)")
-    n = x.shape[0]
-    if weights is None:
-        w_norm = np.ones(n)
-        abs_w = np.ones(n)
-    else:
-        weights = np.asarray(weights, dtype=float)
-        abs_w = np.abs(weights)
-        total = weights.sum()
-        if abs_w.sum() < 1e-12:
-            raise ParameterError("sample weights are all ~0; objective is undefined")
-        # With signed weights the net sum can cancel toward zero; normalize
-        # by the absolute mass instead so gradient scale stays bounded.
-        if total < 0.01 * abs_w.sum():
-            total = abs_w.sum()
-        w_norm = weights * (n / total)
+    cols = [np.asarray(c, dtype=float) for c in per_sample]
+    if x.ndim != 2 or any(c.shape != (x.shape[0],) for c in cols):
+        raise ParameterError("x must be (n, d) and per-sample arrays (n,)")
+    return (x, *cols)
 
+
+def _weight_mass(weights):
+    """(|w|, normalizing total) of signed sample weights."""
+    abs_w = np.abs(weights)
+    if abs_w.sum() < 1e-12:
+        raise ParameterError("sample weights are all ~0; objective is undefined")
+    total = weights.sum()
+    # With signed weights the net sum can cancel toward zero; normalize by
+    # the absolute mass instead so gradient scale stays bounded.
+    if total < 0.01 * abs_w.sum():
+        total = abs_w.sum()
+    return abs_w, total
+
+
+def classification_problem(x, y) -> Problem:
+    """Logistic loss on binary labels y."""
+    x, y = _inputs(x, y)
+    if not np.isin(y, (0.0, 1.0)).all():
+        raise ParameterError("classification labels must be binary")
     x_std = _Standardizer.fit(x)
-    xs = x_std.apply(x)
-    if task == "regression":
-        # Weight-aware target scaling: with signed weights, a handful of
-        # huge targets on near-zero-weight rows must not set the scale.
-        y_mean = float(np.sum(abs_w * y) / abs_w.sum())
-        y_scale = float(np.sqrt(np.sum(abs_w * (y - y_mean) ** 2) / abs_w.sum()))
-        if y_scale < 1e-12:
-            y_scale = 1.0
-        ys = (y - y_mean) / y_scale
-    else:
-        y_mean, y_scale = 0.0, 1.0
-        ys = y
+    return Problem(x_std.apply(x), (y,), _logistic_grad, x_std, "classification")
 
-    rng = np.random.default_rng(np.random.SeedSequence((hp.seed, 0xB0)))
-    params = _init_params([x.shape[1], *hp.hidden, 1], rng)
-    m1 = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params]
-    m2 = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params]
 
+def regression_problem(x, y, weights=None) -> Problem:
+    """Squared error, optionally with signed sample weights."""
+    x, y = _inputs(x, y)
+    n = x.shape[0]
+    _, weights = _inputs(x, np.ones(n) if weights is None else weights)
+    abs_w, total = _weight_mass(weights)
+    w_norm = weights * (n / total)
+    # Weight-aware target scaling: with signed weights, a handful of huge
+    # targets on near-zero-weight rows must not set the scale.
+    y_mean = float(np.sum(abs_w * y) / abs_w.sum())
+    y_scale = float(np.sqrt(np.sum(abs_w * (y - y_mean) ** 2) / abs_w.sum()))
+    if y_scale < 1e-12:
+        y_scale = 1.0
+    x_std = _Standardizer.fit(x)
+    return Problem(x_std.apply(x), ((y - y_mean) / y_scale, w_norm), _squared_grad, x_std,
+                   "regression", y_mean, y_scale)
+
+
+def quadratic_problem(x, weights, linear) -> Problem:
+    """(1/sum_i w_i) sum_i [w_i g(x_i)^2 - 2 q_i g(x_i)]; see
+    `fit_weighted_quadratic`."""
+    x, w, q = _inputs(x, weights, linear)
+    n = x.shape[0]
+    abs_w, total = _weight_mass(w)
+    # Center at the weighted level and scale by the weighted mean absolute
+    # deviation, both robust to individual near-zero weights.
+    m = float(q.sum() / total)
+    q_c = q - m * w
+    s = float(np.abs(q_c).sum() / abs_w.sum())
+    if s < 1e-12:
+        s = 1.0
+    x_std = _Standardizer.fit(x)
+    columns = (w * (n / total), (q_c / s) * (n / total))
+    return Problem(x_std.apply(x), columns, _quadratic_grad, x_std, "regression", m, s)
+
+
+def _train(problems, hps):
+    """Minibatch Adam on a stack of same-shape problems in lockstep.
+    Returns (parameters (K, P), layer dims)."""
+    if not problems or len(problems) != len(hps):
+        raise ParameterError("a stack needs one Hyperparameters per problem")
+    first, hp = problems[0], hps[0]
+    n, d = first.x.shape
+    for p, h in zip(problems, hps):
+        if p.x.shape != (n, d) or p.loss_grad is not first.loss_grad or replace(h, seed=hp.seed) != hp:
+            raise ParameterError("stacked fits must share n, d, the loss and every "
+                                 "hyperparameter but the seed")
+    dims = [d, *hp.hidden, 1]
+    k_nets = len(problems)
+    rngs = [np.random.default_rng(np.random.SeedSequence((h.seed, 0xB0))) for h in hps]
+    params = np.zeros((k_nets, _size(dims)))
+    for row, rng in zip(params, rngs):
+        _init_params(row, dims, rng)
+    grads = np.zeros_like(params)
+    m1 = np.zeros_like(params)
+    m2 = np.zeros_like(params)
+    layers = [(w, b[:, None, :]) for w, b in _layers(params, dims)]
+    grad_layers = _layers(grads, dims)
+
+    # Rows of network k's data sit at k*n .. k*n + n - 1, so one gather per
+    # array fetches every network's minibatch.
+    x = np.concatenate([p.x for p in problems])
+    columns = np.stack([np.concatenate(c) for c in zip(*(p.columns for p in problems))])
+    offsets = n * np.arange(k_nets)[:, None]
     step = 0
     for _ in range(hp.epochs):
-        order = rng.permutation(n)
+        order = np.stack([rng.permutation(n) for rng in rngs]) + offsets
         for lo in range(0, n, hp.batch_size):
-            idx = order[lo : lo + hp.batch_size]
-            pred, cache = _forward(params, xs[idx], dropout=hp.dropout, rng=rng)
-            _, dpred = _loss_grad(task, pred, ys[idx])
-            grads = _backward(params, cache, dpred * w_norm[idx] / len(idx))
+            idx = order[:, lo : lo + hp.batch_size]
+            pred, cache = _forward(layers, x[idx], hp.dropout, rngs)
+            dout = first.loss_grad(pred, *columns[:, idx]) / idx.shape[1]
+            _backward(layers, cache, dout, grad_layers)
             step += 1
-            params, m1, m2 = _adam_step(params, grads, m1, m2, hp, step)
+            # Adam on the flat (K, P) arrays
+            m1 = hp.beta1 * m1 + (1 - hp.beta1) * grads
+            m2 = hp.beta2 * m2 + (1 - hp.beta2) * grads**2
+            params -= (hp.learning_rate * (m1 / (1.0 - hp.beta1**step))
+                       / (np.sqrt(m2 / (1.0 - hp.beta2**step)) + hp.adam_eps))
+    return params, dims
 
-    return Network(params, x_std, task, y_mean, y_scale)
 
-
-def _adam_step(params, grads, m1, m2, hp, step):
-    corr1 = 1.0 - hp.beta1**step
-    corr2 = 1.0 - hp.beta2**step
-    for i, ((w, b), (gw, gb)) in enumerate(zip(params, grads)):
-        m1w = hp.beta1 * m1[i][0] + (1 - hp.beta1) * gw
-        m1b = hp.beta1 * m1[i][1] + (1 - hp.beta1) * gb
-        m2w = hp.beta2 * m2[i][0] + (1 - hp.beta2) * gw**2
-        m2b = hp.beta2 * m2[i][1] + (1 - hp.beta2) * gb**2
-        m1[i], m2[i] = (m1w, m1b), (m2w, m2b)
-        params[i] = (
-            w - hp.learning_rate * (m1w / corr1) / (np.sqrt(m2w / corr2) + hp.adam_eps),
-            b - hp.learning_rate * (m1b / corr1) / (np.sqrt(m2b / corr2) + hp.adam_eps),
-        )
-    return params, m1, m2
+def fit_stack(problems, hps) -> list:
+    """Train K same-shape problems in lockstep: the same n, d and loss, and
+    Hyperparameters that differ at most in the seed. Returns one Network per
+    problem, each bitwise equal to fitting that problem alone."""
+    params, dims = _train(problems, hps)
+    return [Network([(w.copy(), b.copy()) for w, b in _layers(row, dims)],
+                    p.x_std, p.task, p.y_mean, p.y_scale)
+            for row, p in zip(params, problems)]
 
 
 def fit_regressor(x, y, weights=None, hp: Hyperparameters = Hyperparameters()) -> Network:
-    return _fit(x, y, weights, hp, "regression")
+    return fit_stack([regression_problem(x, y, weights)], [hp])[0]
 
 
 def fit_weighted_quadratic(x, weights, linear, hp: Hyperparameters = Hyperparameters()) -> Network:
@@ -245,60 +340,11 @@ def fit_weighted_quadratic(x, weights, linear, hp: Hyperparameters = Hyperparame
     moderate, the ratio explodes while the quadratic coefficients stay
     bounded, so optimizing the product form directly is numerically stable.
     """
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    q = np.asarray(linear, dtype=float)
-    if x.ndim != 2 or w.shape != (x.shape[0],) or q.shape != w.shape:
-        raise ParameterError("x must be (n, d); weights and linear must be (n,)")
-    n = x.shape[0]
-    abs_w = np.abs(w)
-    if abs_w.sum() < 1e-12:
-        raise ParameterError("sample weights are all ~0; objective is undefined")
-    total = w.sum()
-    if total < 0.01 * abs_w.sum():
-        total = abs_w.sum()
-
-    # Center at the weighted level and scale by the weighted mean absolute
-    # deviation, both robust to individual near-zero weights.
-    m = float(q.sum() / total)
-    q_c = q - m * w
-    s = float(np.abs(q_c).sum() / abs_w.sum())
-    if s < 1e-12:
-        s = 1.0
-
-    x_std = _Standardizer.fit(x)
-    xs = x_std.apply(x)
-    w_norm = w * (n / total)
-    q_norm = (q_c / s) * (n / total)
-
-    rng = np.random.default_rng(np.random.SeedSequence((hp.seed, 0xB0)))
-    params = _init_params([x.shape[1], *hp.hidden, 1], rng)
-    m1 = [(np.zeros_like(wm), np.zeros_like(b)) for wm, b in params]
-    m2 = [(np.zeros_like(wm), np.zeros_like(b)) for wm, b in params]
-    step = 0
-    for _ in range(hp.epochs):
-        order = rng.permutation(n)
-        for lo in range(0, n, hp.batch_size):
-            idx = order[lo : lo + hp.batch_size]
-            pred, cache = _forward(params, xs[idx], dropout=hp.dropout, rng=rng)
-            dpred = 2.0 * (w_norm[idx] * pred - q_norm[idx]) / len(idx)
-            grads = _backward(params, cache, dpred)
-            step += 1
-            params, m1, m2 = _adam_step(params, grads, m1, m2, hp, step)
-    return Network(params, x_std, "regression", m, s)
+    return fit_stack([quadratic_problem(x, weights, linear)], [hp])[0]
 
 
 def fit_classifier(x, y, hp: Hyperparameters = Hyperparameters()) -> Network:
-    y = np.asarray(y, dtype=float)
-    if not np.isin(y, (0.0, 1.0)).all():
-        raise ParameterError("classification labels must be binary")
-    return _fit(x, y, None, hp, "classification")
-
-
-def _objective(params, x, y, w, task):
-    pred, _ = _forward(params, x)
-    loss, _ = _loss_grad(task, pred, y)
-    return float(np.sum(w * loss) / len(y))
+    return fit_stack([classification_problem(x, y)], [hp])[0]
 
 
 def gradient_check(seed: int = 0, task: str = "regression", eps: float = 1e-6) -> float:
@@ -313,25 +359,34 @@ def gradient_check(seed: int = 0, task: str = "regression", eps: float = 1e-6) -
     else:
         y = (rng.uniform(size=n) < 0.5).astype(float)
         w = np.ones(n)
-    params = _init_params([d, 5, 3, 1], rng)
+    dims = [d, 5, 3, 1]
+    flat = np.zeros(_size(dims))
+    _init_params(flat, dims, rng)
+    layers = _layers(flat, dims)
 
-    pred, cache = _forward(params, x)
-    _, dpred = _loss_grad(task, pred, y)
-    grads = _backward(params, cache, dpred * w / n)
+    def objective():
+        pred, _ = _forward(layers, x)
+        if task == "regression":
+            loss = (pred - y) * (pred - y)
+        else:
+            p = _sigmoid(pred)
+            loss = -(y * np.log(p + 1e-12) + (1.0 - y) * np.log(1.0 - p + 1e-12))
+        return float(np.sum(w * loss) / n)
+
+    pred, cache = _forward(layers, x)
+    dout = _squared_grad(pred, y, w) if task == "regression" else _logistic_grad(pred, y) * w
+    grads = np.empty_like(flat)
+    _backward(layers, cache, dout / n, _layers(grads, dims))
 
     worst = 0.0
-    for i, (wmat, b) in enumerate(params):
-        for arr, garr, which in ((wmat, grads[i][0], 0), (b, grads[i][1], 1)):
-            flat = arr.ravel()
-            gflat = np.asarray(garr, dtype=float).ravel()
-            for k in range(flat.size):
-                orig = flat[k]
-                flat[k] = orig + eps
-                up = _objective(params, x, y, w, task)
-                flat[k] = orig - eps
-                down = _objective(params, x, y, w, task)
-                flat[k] = orig
-                fd = (up - down) / (2.0 * eps)
-                denom = max(abs(fd), abs(gflat[k]), 1e-8)
-                worst = max(worst, abs(fd - gflat[k]) / denom)
+    for k in range(flat.size):
+        orig = flat[k]
+        flat[k] = orig + eps
+        up = objective()
+        flat[k] = orig - eps
+        down = objective()
+        flat[k] = orig
+        fd = (up - down) / (2.0 * eps)
+        denom = max(abs(fd), abs(grads[k]), 1e-8)
+        worst = max(worst, abs(fd - grads[k]) / denom)
     return worst

@@ -85,7 +85,8 @@ def prepare_cell(data, plan_a, plan_b, lam=0.5, hp=None, seed=0, window="full",
                     na.evaluate(data, floor=floor), nb.evaluate(data, floor=floor),
                     na.evaluate(data, floor=0.0), nb.evaluate(data, floor=0.0), window)
     nuis_split, stage2 = split_dataset(data, lam, seed)
-    assert not set(nuis_split.ids.tolist()) & set(stage2.ids.tolist()), "splits must be disjoint"
+    if set(nuis_split.ids.tolist()) & set(stage2.ids.tolist()):
+        raise ParameterError("nuisance and stage-2 splits must be disjoint")
     hp = hp or backbone.Hyperparameters()
     prop = fit_propensity_models(nuis_split, plan_a.start, plan_a.horizon,
                                  hp=hp, window=window, seed=seed)

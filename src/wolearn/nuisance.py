@@ -41,7 +41,8 @@ def _child_seed(seed, tag, j) -> int:
 
 
 class _ConstantModel:
-    """Fallback when a fit would be degenerate (single-class labels)."""
+    """Fallback when a fit would be degenerate (single-class labels, a
+    constant target, or too few units)."""
 
     def __init__(self, value: float):
         self.value = float(value)
@@ -107,18 +108,29 @@ class FittedNuisances:
 
 def fit_propensity_models(data: Dataset, t: int, tau: int, hp=None, window="full", seed=0):
     """One classifier P(A_j = 1 | H_j) per time j in [t, t+tau]; plans of
-    either arm share these models."""
+    either arm share these models. The non-constant steps train as one
+    stack."""
     hp = hp or backbone.Hyperparameters()
-    models = {}
+    models, fitted = {}, {}
     for j in range(t, t + tau + 1):
         feats, _ = feature_matrix(data, j, window=window)
         labels = data.a[:, j].astype(float)
         if labels.min() == labels.max():
             warnings.warn(f"treatment at time {j} is constant; using a saturated propensity")
             models[j] = _ConstantModel(1.0 if labels[0] == 1 else 0.0)
-            continue
-        models[j] = backbone.fit_classifier(feats, labels, hp=replace(hp, seed=_child_seed(seed, 0xA, j)))
-    return models
+        else:
+            fitted[j] = (backbone.classification_problem(feats, labels),
+                         replace(hp, seed=_child_seed(seed, 0xA, j)))
+    return _fit_stacked(models, fitted)
+
+
+def _fit_stacked(models, fitted):
+    """Fill `models` with one network per {j: (problem, hp)} of `fitted`,
+    trained as one stack; returns `models` ordered by j."""
+    if fitted:
+        problems, hps = zip(*fitted.values())
+        models.update(zip(fitted, backbone.fit_stack(problems, hps)))
+    return dict(sorted(models.items()))
 
 
 def fit_response_models(data: Dataset, plan: InterventionPlan, hp=None, window="full", seed=0):
@@ -155,7 +167,9 @@ def fit_weight_models(data: Dataset, plan: InterventionPlan, propensity_models, 
 
     The target for time j is the realized product of fitted plan
     propensities over k = j+1 .. t+tau; regression against features(H_j)
-    recovers its conditional expectation under the observational law.
+    recovers its conditional expectation under the observational law. The
+    steps train as one stack; a step with a constant target or fewer than
+    MIN_FIT_UNITS units gets a constant model instead.
     """
     hp = hp or backbone.Hyperparameters()
     t, tau = plan.start, plan.horizon
@@ -167,12 +181,21 @@ def fit_weight_models(data: Dataset, plan: InterventionPlan, propensity_models, 
         feats, _ = feature_matrix(data, j, window=window)
         p1 = propensity_models[j].predict(feats)
         pi_hat[:, k] = p1 if plan.values[k] == 1 else 1.0 - p1
-    models = {}
+    models, fitted = {}, {}
     for j in range(t, t + tau):
         tail = np.prod(pi_hat[:, j - t + 1 :], axis=1)
-        feats, _ = feature_matrix(data, j, window=window)
-        models[j] = backbone.fit_regressor(feats, tail, hp=replace(hp, seed=_child_seed(seed, 0xC, j)))
-    return models
+        if data.n < MIN_FIT_UNITS:
+            warnings.warn(f"only {data.n} units for the tail weight at time {j}; "
+                          "using a constant weight")
+            models[j] = _ConstantModel(tail.mean())
+        elif tail.min() == tail.max():
+            warnings.warn(f"tail-weight target at time {j} is constant; using it as the weight")
+            models[j] = _ConstantModel(tail[0])
+        else:
+            feats, _ = feature_matrix(data, j, window=window)
+            fitted[j] = (backbone.regression_problem(feats, tail),
+                         replace(hp, seed=_child_seed(seed, 0xC, j)))
+    return _fit_stacked(models, fitted)
 
 
 def fit_nuisances(data: Dataset, plan: InterventionPlan, hp=None, window="full", seed=0,
@@ -205,6 +228,10 @@ class OracleBackedNuisances:
         self.corrupt_w = corrupt_w
 
     def evaluate(self, data: Dataset, floor: float = 0.0) -> NuisanceEvaluation:
+        return self.perturb(self.evaluate_clean(data), floor)
+
+    def evaluate_clean(self, data: Dataset) -> NuisanceEvaluation:
+        """The oracle's values on `data`, without corruptions or floor."""
         from .dgp import State  # local import to keep module layering one-way
 
         t, tau = self.plan.start, self.plan.horizon
@@ -223,6 +250,13 @@ class OracleBackedNuisances:
             if k < steps - 1:
                 w_next[:, k] = self.oracle.tail_weight(j, st.x, st.y_prev, st.a_prev,
                                                        x_prev=st.x_prev)
+        return NuisanceEvaluation(self.plan, pi, ind, mu, w_next)
+
+    def perturb(self, clean: NuisanceEvaluation, floor: float = 0.0) -> NuisanceEvaluation:
+        """This object's corruptions and floor applied to a clean
+        evaluation. `clean` is not modified; arrays that no corruption
+        touches are shared with it."""
+        pi, mu, w_next = clean.pi, clean.mu, clean.w_next
         if self.corrupt_pi is not None:
             pi = pi + self.corrupt_pi
         if self.corrupt_mu is not None:
@@ -230,4 +264,4 @@ class OracleBackedNuisances:
         if self.corrupt_w is not None:
             w_next = w_next + self.corrupt_w
         pi = np.clip(pi, max(floor, 1e-12), 1.0)
-        return NuisanceEvaluation(self.plan, pi, ind, mu, w_next)
+        return NuisanceEvaluation(self.plan, pi, clean.ind, mu, w_next)

@@ -303,6 +303,12 @@ def check_orthogonality(seed=0, n=200000, scales=SCALE_GRID,
     d_w = 0.3 * dirs.copy()
     d_w[:, -1] = 0.0  # the final-step tail weight is identically one
 
+    # The oracles are evaluated once; each probe corrupts and floors copies.
+    oracle_a = dgp.oracle_nuisances(config, plan_a, seed=seed)
+    oracle_b = dgp.oracle_nuisances(config, plan_b, seed=seed)
+    clean_a = OracleBackedNuisances(oracle_a).evaluate_clean(data)
+    clean_b = OracleBackedNuisances(oracle_b).evaluate_clean(data)
+
     def derivatives(family, r):
         kw_a, kw_b = {}, {}
         if family == "pi":
@@ -311,9 +317,8 @@ def check_orthogonality(seed=0, n=200000, scales=SCALE_GRID,
             kw_a, kw_b = {"corrupt_mu": r * d_mu}, {"corrupt_mu": -r * d_mu}
         elif family == "w":
             kw_a = kw_b = {"corrupt_w": r * d_w}
-        na = OracleBackedNuisances(dgp.oracle_nuisances(config, plan_a, seed=seed), **kw_a)
-        nb = OracleBackedNuisances(dgp.oracle_nuisances(config, plan_b, seed=seed), **kw_b)
-        ev_a, ev_b = na.evaluate(data, floor=1e-3), nb.evaluate(data, floor=1e-3)
+        ev_a = OracleBackedNuisances(oracle_a, **kw_a).perturb(clean_a, floor=1e-3)
+        ev_b = OracleBackedNuisances(oracle_b, **kw_b).perturb(clean_b, floor=1e-3)
         po = cate_pseudo(ev_a, ev_b, y_final)
         return {
             "wo": -2.0 * (risk_linear_term(po) - po.rho * g) * dg,

@@ -26,6 +26,8 @@ FLOOR = 0.05
 SEEDS = (0, 1, 2, 3, 4)
 BASELINES = ("dr", "ipw", "ra", "ha")
 
+pytestmark = pytest.mark.acceptance
+
 
 def _criterion(name, ok, detail):
     line = f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}"

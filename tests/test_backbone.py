@@ -1,13 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from wolearn.backbone import (
     Hyperparameters,
     Network,
+    classification_problem,
     fit_classifier,
     fit_regressor,
+    fit_stack,
     fit_weighted_quadratic,
     gradient_check,
+    quadratic_problem,
+    regression_problem,
 )
 from wolearn.core import ParameterError
 
@@ -113,6 +119,113 @@ class TestWeightedQuadratic:
             fit_weighted_quadratic(np.zeros((5, 1)), np.zeros(5), np.zeros(5))
         with pytest.raises(ParameterError):
             fit_weighted_quadratic(np.zeros((5, 1)), np.ones(4), np.zeros(5))
+
+
+def _stack_inputs(n=203, d=3, k=3):
+    rng = np.random.default_rng(8)
+    xs = [rng.normal(size=(n, d)) for _ in range(k)]
+    labels = [(rng.uniform(size=n) < 0.4).astype(float) for _ in range(k)]
+    targets = [rng.normal(size=n) for _ in range(k)]
+    weights = [rng.normal(0.3, 1.0, size=n) for _ in range(k)]  # signed
+    return xs, labels, targets, weights
+
+
+def _reference_fit(problem, hp):
+    """The per-network loop that the stacked trainer replaced: one array per
+    layer weight and bias, Adam per array. Returns [W0, b0, W1, b1, ...]."""
+    rng = np.random.default_rng(np.random.SeedSequence((hp.seed, 0xB0)))
+    dims = [problem.x.shape[1], *hp.hidden, 1]
+    params = []
+    for d_in, d_out in zip(dims[:-1], dims[1:]):
+        params += [rng.normal(0.0, np.sqrt(2.0 / d_in), size=(d_in, d_out)), np.zeros(d_out)]
+    n_layers = len(dims) - 1
+    m1 = [np.zeros_like(p) for p in params]
+    m2 = [np.zeros_like(p) for p in params]
+    step = 0
+    for _ in range(hp.epochs):
+        order = rng.permutation(problem.x.shape[0])
+        for lo in range(0, len(order), hp.batch_size):
+            idx = order[lo : lo + hp.batch_size]
+            h = problem.x[idx]
+            acts, masks = [h], [None]
+            for i in range(n_layers):
+                h = h @ params[2 * i] + params[2 * i + 1]
+                keep = None
+                if i < n_layers - 1:
+                    h = np.maximum(h, 0.0)
+                    if hp.dropout > 0.0:
+                        keep = (rng.uniform(size=h.shape) >= hp.dropout) / (1.0 - hp.dropout)
+                        h = h * keep
+                acts.append(h)
+                masks.append(keep)
+            delta = (problem.loss_grad(h[:, 0], *(c[idx] for c in problem.columns))
+                     / len(idx))[:, None]
+            grads = [None] * len(params)
+            for i in range(n_layers - 1, -1, -1):
+                grads[2 * i], grads[2 * i + 1] = acts[i].T @ delta, delta.sum(axis=0)
+                if i > 0:
+                    delta = (delta @ params[2 * i].T) * (acts[i] > 0.0)
+                    if masks[i] is not None:
+                        delta = delta * masks[i]
+            step += 1
+            for k, g in enumerate(grads):
+                m1[k] = hp.beta1 * m1[k] + (1 - hp.beta1) * g
+                m2[k] = hp.beta2 * m2[k] + (1 - hp.beta2) * g**2
+                params[k] = params[k] - hp.learning_rate * (m1[k] / (1.0 - hp.beta1**step)) / (
+                    np.sqrt(m2[k] / (1.0 - hp.beta2**step)) + hp.adam_eps)
+    return params
+
+
+class TestStackedTraining:
+    # n = 203 is not a multiple of the batch size, so the last batch is short
+    @pytest.mark.parametrize("dropout", [0.0, 0.9])
+    @pytest.mark.parametrize("loss", ["classification", "signed-weight regression",
+                                      "weighted quadratic"])
+    def test_stack_members_equal_lone_fits(self, loss, dropout):
+        xs, labels, targets, weights = _stack_inputs()
+        hps = [Hyperparameters(hidden=(6, 4), epochs=5, dropout=dropout, seed=s)
+               for s in (11, 12, 13)]
+        if loss == "classification":
+            problems = [classification_problem(x, y) for x, y in zip(xs, labels)]
+            alone = [fit_classifier(x, y, hp=hp) for x, y, hp in zip(xs, labels, hps)]
+        elif loss == "signed-weight regression":
+            problems = [regression_problem(x, y, w) for x, y, w in zip(xs, targets, weights)]
+            alone = [fit_regressor(x, y, w, hp=hp)
+                     for x, y, w, hp in zip(xs, targets, weights, hps)]
+        else:
+            problems = [quadratic_problem(x, w, q) for x, w, q in zip(xs, weights, targets)]
+            alone = [fit_weighted_quadratic(x, w, q, hp=hp)
+                     for x, w, q, hp in zip(xs, weights, targets, hps)]
+        for lone, problem, hp in zip(alone, problems, hps):
+            flat = [a for layer in lone.params for a in layer]
+            for got, want in zip(flat, _reference_fit(problem, hp), strict=True):
+                np.testing.assert_array_equal(got, want)
+        stacked = fit_stack(problems, hps)
+        assert len(stacked) == 3
+        for lone, member, x in zip(alone, stacked, xs):
+            for (w1, b1), (w2, b2) in zip(lone.params, member.params):
+                np.testing.assert_array_equal(w1, w2)
+                np.testing.assert_array_equal(b1, b2)
+            np.testing.assert_array_equal(lone.predict(x), member.predict(x))
+        assert not np.array_equal(stacked[0].params[0][0], stacked[1].params[0][0])
+
+    def test_mismatched_members_rejected(self):
+        xs, labels, targets, _ = _stack_inputs(n=40)
+        hp = Hyperparameters(hidden=(4,), epochs=1)
+        same = [regression_problem(x, y) for x, y in zip(xs[:2], targets[:2])]
+        shorter_n = regression_problem(xs[2][:30], targets[2][:30])
+        wider_d = regression_problem(np.hstack([xs[2], xs[2]]), targets[2])
+        other_loss = classification_problem(xs[2], labels[2])
+        for odd in (shorter_n, wider_d, other_loss):
+            with pytest.raises(ParameterError):
+                fit_stack([*same, odd], [hp] * 3)
+        for changed in (dict(dropout=0.5), dict(hidden=(5,)), dict(epochs=2)):
+            with pytest.raises(ParameterError):
+                fit_stack(same, [hp, replace(hp, **changed)])
+        with pytest.raises(ParameterError):
+            fit_stack(same, [hp])
+        with pytest.raises(ParameterError):
+            fit_stack([], [])
 
 
 class TestNetworkIO:

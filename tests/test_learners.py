@@ -56,6 +56,16 @@ class TestPrepareCell:
         with pytest.raises(ParameterError):
             prepare_cell(data, always_treat(2, 1), never_treat(2, 2))
 
+    def test_overlapping_splits_rejected(self, monkeypatch):
+        # Raised, not asserted, so the check survives python -O.
+        cfg = DgpConfig.make("gamma", n_train=40)
+        data = simulate(cfg, seed=0)
+        t = cfg.eval_anchor
+        monkeypatch.setattr("wolearn.learners.split_dataset",
+                            lambda data, lam, seed: (data, data.subset(np.arange(5))))
+        with pytest.raises(ParameterError, match="disjoint"):
+            prepare_cell(data, always_treat(t, cfg.tau), never_treat(t, cfg.tau), hp=FAST)
+
     def test_raw_propensities_unfloored(self):
         _, _, cell = _small_cell(gamma=6.5)
         assert cell.ev_a.pi.min() >= 1e-3

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from wolearn import dgp
-from wolearn.backbone import Hyperparameters
+from wolearn.backbone import Hyperparameters, Network
 from wolearn.core import always_treat, never_treat
 from wolearn.dgp import DgpConfig, State, oracle_nuisances, propensity_logit, sigmoid, simulate
 from wolearn.nuisance import (
+    MIN_FIT_UNITS,
     PROPENSITY_FLOOR,
     OracleBackedNuisances,
+    _ConstantModel,
     _child_seed,
     fit_nuisances,
     fit_propensity_models,
@@ -126,3 +128,18 @@ class TestFittedNuisances:
         with pytest.warns(UserWarning, match="constant"):
             models = fit_propensity_models(data, t, 0, hp=FAST, window=1)
         np.testing.assert_allclose(models[t].predict(np.zeros((3, 4))), 1.0)
+
+    def test_weight_fallbacks(self):
+        cfg, data, t, plan = _setup(tau=2, n=30)
+        prop = fit_propensity_models(data, t, 2, hp=FAST, window=1)
+        # a constant last propensity makes the target at t+1 constant while
+        # the target at t still varies: only t+1 leaves the stack
+        prop[t + 2] = _ConstantModel(0.7)
+        with pytest.warns(UserWarning, match="constant"):
+            models = fit_weight_models(data, plan, prop, hp=FAST, window=1)
+        assert isinstance(models[t], Network)
+        np.testing.assert_allclose(models[t + 1].predict(np.zeros((3, 4))), 0.7)
+        few = data.subset(np.arange(MIN_FIT_UNITS - 1))
+        with pytest.warns(UserWarning, match="units"):
+            models = fit_weight_models(few, plan, prop, hp=FAST, window=1)
+        assert all(isinstance(m, _ConstantModel) for m in models.values())

@@ -22,9 +22,8 @@ import click
 import numpy as np
 
 from . import dgp, verify
-from .backbone import Hyperparameters
-from .core import ParameterError, always_treat, never_treat
-from .learners import LEARNERS, evaluate_rmse, prepare_cell, run_experiment, train_learner
+from .core import ParameterError
+from .learners import LEARNERS, build_cell, evaluate_rmse, run_experiment, train_learner
 from .nuisance import PROPENSITY_FLOOR
 from .pseudo import PseudoConfig, cate_pseudo
 
@@ -191,13 +190,8 @@ def run(spec_path, seed, **overrides):
     out = Path(spec.out_dir) / f"{spec.kind}_seed{seed}"
     out.mkdir(parents=True, exist_ok=True)
 
-    t = config.eval_anchor
-    plan_a, plan_b = always_treat(t, config.tau), never_treat(t, config.tau)
-    train = dgp.simulate(config, seed=seed)
-    test = dgp.simulate(config, seed=_child_seed_test(seed), n=config.n_test)
-    truth = dgp.test_set_truth(config, test, t, plan_a, plan_b, seed=_child_seed_truth(seed))
-    cell = prepare_cell(train, plan_a, plan_b, lam=spec.lam, seed=seed,
-                        window=spec.window_value, floor=spec.floor)
+    cell, test, truth = build_cell(config, seed=seed, lam=spec.lam, window=spec.window_value,
+                                   floor=spec.floor)
 
     po = cate_pseudo(cell.ev_a, cell.ev_b, cell.y_final, spec.pseudo_config)
     po.to_csv(out / "pseudo_outcomes.csv", ids=cell.stage2.ids)
@@ -216,14 +210,6 @@ def run(spec_path, seed, **overrides):
     (out / "metrics.json").write_text(json.dumps(
         {"spec_hash": spec.hash, "spec": spec.to_dict(), "metrics": metrics}, indent=2))
     click.echo(f"artifacts in {out}")
-
-
-def _child_seed_test(seed):
-    return int(np.random.SeedSequence((seed, 0x7E, 0)).generate_state(1)[0])
-
-
-def _child_seed_truth(seed):
-    return int(np.random.SeedSequence((seed, 0x7E, 1)).generate_state(1)[0])
 
 
 @main.command()

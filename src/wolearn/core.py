@@ -4,13 +4,13 @@ A unit is a trajectory of covariates X_t, binary treatments A_t, and outcomes
 Y_t over T time steps. The observed history at time t is
 H_t = (Y_{0:t-1}, X_{0:t}, A_{0:t-1}), i.e. the outcome and treatment at the
 anchor itself are excluded. Pre-sample lags (Y_{-1}, A_{-1}) are zero
-sentinels with mask 0.
+sentinels.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,31 +101,23 @@ def never_treat(start: int, tau: int) -> InterventionPlan:
 class Dataset:
     """A panel of trajectories sharing T and d_x, stored stacked for speed.
 
-    x: (n, T, d_x), a: (n, T), y: (n, T), ids: (n,).
+    x: (n, T, d_x), a: (n, T), y: (n, T), ids: (n,). NaN in x or y and
+    treatments outside {0, 1} raise ParameterError.
     """
 
     def __init__(self, x, a, y, ids=None, meta=None):
         self.x = np.asarray(x, dtype=float)
-        self.a = np.asarray(a, dtype=np.int64)
+        a = np.asarray(a)
         self.y = np.asarray(y, dtype=float)
-        if self.x.ndim != 3 or self.a.shape != self.x.shape[:2] or self.y.shape != self.a.shape:
+        if self.x.ndim != 3 or a.shape != self.x.shape[:2] or self.y.shape != a.shape:
             raise ParameterError("x must be (n, T, d_x); a, y must be (n, T)")
+        if not ((a == 0) | (a == 1)).all():
+            raise ParameterError("treatments must be binary")
+        if np.isnan(self.x).any() or np.isnan(self.y).any():
+            raise ParameterError("missing entries are not supported")
+        self.a = np.asarray(a, dtype=np.int64)
         self.ids = np.arange(len(self.y)) if ids is None else np.asarray(ids, dtype=np.int64)
         self.meta = dict(meta or {})
-
-    @classmethod
-    def from_trajectories(cls, trajectories, meta=None):
-        ts = {tr.T for tr in trajectories}
-        ds = {tr.d_x for tr in trajectories}
-        if len(ts) != 1 or len(ds) != 1:
-            raise ParameterError("all trajectories must share T and d_x")
-        return cls(
-            np.stack([tr.covariates for tr in trajectories]),
-            np.stack([tr.treatments for tr in trajectories]),
-            np.stack([tr.outcomes for tr in trajectories]),
-            ids=[tr.id for tr in trajectories],
-            meta=meta,
-        )
 
     @property
     def n(self) -> int:
@@ -174,25 +166,13 @@ class Dataset:
         return cls(np.array(xs), np.array(as_), np.array(ys), ids=ids, meta=header.get("meta", {}))
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Flattened history encoding: values with a binary presence mask."""
-
-    values: np.ndarray
-    mask: np.ndarray
-
-
-def feature_dim(window: int, d_x: int) -> int:
-    # per step: X_s (d_x), lagged Y_{s-1}, lagged A_{s-1}; plus the anchor index
-    return window * (d_x + 2) + 1
-
-
-def feature_matrix(data: Dataset, anchor: int, window="full"):
-    """Featurized histories H_anchor for all units: (values (n, D), mask (D,)).
+def feature_matrix(data: Dataset, anchor: int, window="full") -> np.ndarray:
+    """Featurized histories H_anchor for all units, shape (n, D).
 
     Steps s = anchor-window+1 .. anchor, oldest first; each step contributes
-    (X_s, Y_{s-1}, A_{s-1}); steps before time 0 are zero with mask 0, as is
-    the lag slot at s = 0. The final feature is the anchor index itself.
+    (X_s, Y_{s-1}, A_{s-1}); steps before time 0 are zero, as is the lag
+    slot at s = 0. The final feature is the anchor index itself, so
+    D = window * (d_x + 2) + 1.
     """
     T, d_x, n = data.T, data.d_x, data.n
     if not 0 <= anchor < T:
@@ -211,19 +191,7 @@ def feature_matrix(data: Dataset, anchor: int, window="full"):
     vals[:, lag_valid, d_x] = data.y[:, sl - 1]
     vals[:, lag_valid, d_x + 1] = data.a[:, sl - 1]
 
-    mask = np.zeros((w, d_x + 2))
-    mask[valid, :d_x] = 1.0
-    mask[lag_valid, d_x:] = 1.0
-
-    values = np.concatenate([vals.reshape(n, -1), np.full((n, 1), float(anchor))], axis=1)
-    mask_flat = np.concatenate([mask.reshape(-1), [1.0]])
-    return values, mask_flat
-
-
-def featurize_history(h: HistoryView, window="full") -> FeatureVector:
-    data = Dataset.from_trajectories([h.trajectory])
-    values, mask = feature_matrix(data, h.anchor, window=window)
-    return FeatureVector(values=values[0], mask=mask)
+    return np.concatenate([vals.reshape(n, -1), np.full((n, 1), float(anchor))], axis=1)
 
 
 def split_dataset(data: Dataset, lam: float, seed: int):
@@ -235,8 +203,8 @@ def split_dataset(data: Dataset, lam: float, seed: int):
     if not 0.0 < lam < 1.0:
         raise ParameterError("lambda must be in (0, 1)")
     n = data.n
-    if n < 2:
-        raise ParameterError("need at least 2 trajectories to split")
-    perm = np.random.default_rng(seed).permutation(n)
     n_stage2 = int(np.floor(lam * n))
+    if not 0 < n_stage2 < n:
+        raise ParameterError(f"lambda={lam} splits {n} trajectories into an empty side")
+    perm = np.random.default_rng(seed).permutation(n)
     return data.subset(np.sort(perm[n_stage2:])), data.subset(np.sort(perm[:n_stage2]))

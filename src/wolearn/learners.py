@@ -25,7 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import backbone
-from .core import Dataset, InterventionPlan, ParameterError, feature_matrix, split_dataset
+from .core import (Dataset, InterventionPlan, ParameterError, always_treat, feature_matrix,
+                   never_treat, split_dataset)
 from .nuisance import PROPENSITY_FLOOR, fit_nuisances, fit_propensity_models, _child_seed
 from .pseudo import PseudoConfig, cate_pseudo, gamma_plan, ipw_transform, risk_linear_term
 
@@ -64,14 +65,15 @@ class Cell:
 
     @property
     def stage2_features(self) -> np.ndarray:
-        return feature_matrix(self.stage2, self.anchor, window=self.window)[0]
+        return feature_matrix(self.stage2, self.anchor, window=self.window)
 
 
 def prepare_cell(data, plan_a, plan_b, lam=0.5, hp=None, seed=0, window="full",
                  floor=PROPENSITY_FLOOR, nuisances=None) -> Cell:
     """Split the data, fit nuisances for both plans on the nuisance split
     (propensity classifiers shared when the plans cover the same times),
-    and evaluate them on the stage-2 split.
+    and evaluate them once per arm on the stage-2 split; the floored
+    evaluations are copies of the unfloored ones with pi clipped.
 
     Pass `nuisances = (eval_a, eval_b)` objects with an `.evaluate(data,
     floor)` method (e.g. oracle-backed) to skip fitting; the full dataset
@@ -80,23 +82,19 @@ def prepare_cell(data, plan_a, plan_b, lam=0.5, hp=None, seed=0, window="full",
     if plan_a.start != plan_b.start or plan_a.horizon != plan_b.horizon:
         raise ParameterError("plans must share anchor and horizon")
     if nuisances is not None:
-        na, nb = nuisances
-        return Cell(data, plan_a, plan_b, data.subset(np.arange(0)), data,
-                    na.evaluate(data, floor=floor), nb.evaluate(data, floor=floor),
-                    na.evaluate(data, floor=0.0), nb.evaluate(data, floor=0.0), window)
-    nuis_split, stage2 = split_dataset(data, lam, seed)
-    if set(nuis_split.ids.tolist()) & set(stage2.ids.tolist()):
-        raise ParameterError("nuisance and stage-2 splits must be disjoint")
-    hp = hp or backbone.Hyperparameters()
-    prop = fit_propensity_models(nuis_split, plan_a.start, plan_a.horizon,
-                                 hp=hp, window=window, seed=seed)
-    na = fit_nuisances(nuis_split, plan_a, hp=hp, window=window, seed=seed,
-                       propensity_models=prop)
-    nb = fit_nuisances(nuis_split, plan_b, hp=hp, window=window, seed=seed,
-                       propensity_models=prop)
+        (na, nb), nuis_split, stage2 = nuisances, data.subset(np.arange(0)), data
+    else:
+        nuis_split, stage2 = split_dataset(data, lam, seed)
+        if set(nuis_split.ids.tolist()) & set(stage2.ids.tolist()):
+            raise ParameterError("nuisance and stage-2 splits must be disjoint")
+        hp = hp or backbone.Hyperparameters()
+        prop = fit_propensity_models(nuis_split, plan_a.start, plan_a.horizon,
+                                     hp=hp, window=window, seed=seed)
+        na, nb = (fit_nuisances(nuis_split, plan, hp=hp, window=window, seed=seed,
+                                propensity_models=prop) for plan in (plan_a, plan_b))
+    raw_a, raw_b = na.evaluate(stage2, floor=0.0), nb.evaluate(stage2, floor=0.0)
     return Cell(data, plan_a, plan_b, nuis_split, stage2,
-                na.evaluate(stage2, floor=floor), nb.evaluate(stage2, floor=floor),
-                na.evaluate(stage2, floor=0.0), nb.evaluate(stage2, floor=0.0), window)
+                raw_a.floored(floor), raw_b.floored(floor), raw_a, raw_b, window)
 
 
 @dataclass
@@ -112,7 +110,7 @@ class CateModel:
     plan_feature: bool = False  # ha appends plan treatments to the features
 
     def predict(self, data: Dataset) -> np.ndarray:
-        feats = feature_matrix(data, self.plan_a.start, window=self.window)[0]
+        feats = feature_matrix(data, self.plan_a.start, window=self.window)
         if not self.plan_feature:
             return self.network.predict(feats)
         fa = _with_plan(feats, self.plan_a)
@@ -149,7 +147,6 @@ def train_baseline(cell: Cell, name: str, hp=None, seed=0, floor=True) -> CateMo
     hp = hp or backbone.Hyperparameters()
     ev_a = cell.ev_a if floor else cell.ev_a_raw
     ev_b = cell.ev_b if floor else cell.ev_b_raw
-    dropout = hp.dropout
     if name == "dr":
         target = gamma_plan(ev_a, cell.y_final) - gamma_plan(ev_b, cell.y_final)
     elif name == "ipw":
@@ -162,7 +159,7 @@ def train_baseline(cell: Cell, name: str, hp=None, seed=0, floor=True) -> CateMo
         raise ParameterError(f"unknown learner {name!r}")
     net = backbone.fit_regressor(
         cell.stage2_features, target,
-        hp=replace(hp, dropout=dropout, seed=_child_seed(seed, 0x11, LEARNERS.index(name))))
+        hp=replace(hp, seed=_child_seed(seed, 0x11, LEARNERS.index(name))))
     return CateModel(name, net, cell.plan_a, cell.plan_b, cell.window)
 
 
@@ -170,7 +167,7 @@ def _train_ha(cell: Cell, hp, seed) -> CateModel:
     # One outcome regression on (history features, realized future
     # treatments) over all units; effects come from differencing the plans.
     t, end = cell.anchor, cell.plan_a.end
-    feats = feature_matrix(cell.data, t, window=cell.window)[0]
+    feats = feature_matrix(cell.data, t, window=cell.window)
     feats = np.concatenate([feats, cell.data.a[:, t : end + 1].astype(float)], axis=1)
     net = backbone.fit_regressor(feats, cell.data.y[:, end],
                                  hp=replace(hp, seed=_child_seed(seed, 0x12, 0)))
@@ -193,14 +190,13 @@ def evaluate_rmse(model: CateModel, test_data: Dataset, truth: np.ndarray) -> fl
     return float(np.sqrt(np.mean((pred - truth) ** 2)))
 
 
-def run_experiment(config, seed=0, learners=LEARNERS, lam=0.5, hp=None,
-                   pseudo_config=PseudoConfig(), window="full", m_truth=20000,
-                   floor=PROPENSITY_FLOOR):
-    """One full cell: simulate train/test sets, fit every learner, score
-    against ground truth. Returns {learner: rmse} plus guard-rate info."""
+def build_cell(config, seed=0, lam=0.5, hp=None, window="full", m_truth=20000,
+               floor=PROPENSITY_FLOOR):
+    """Everything of one cell before the learners: simulate the train and
+    test panels, compute the test-set truth of always- over never-treat at
+    the configuration's anchor, and prepare the cell on the train panel.
+    Returns (cell, test panel, truth)."""
     from . import dgp  # deferred: dgp is a sibling layer, not a dependency
-
-    from .core import always_treat, never_treat
 
     t, tau = config.eval_anchor, config.tau
     plan_a, plan_b = always_treat(t, tau), never_treat(t, tau)
@@ -210,6 +206,16 @@ def run_experiment(config, seed=0, learners=LEARNERS, lam=0.5, hp=None,
                                seed=_child_seed(seed, 0x7E, 1))
     cell = prepare_cell(train, plan_a, plan_b, lam=lam, hp=hp, seed=seed, window=window,
                         floor=floor)
+    return cell, test, truth
+
+
+def run_experiment(config, seed=0, learners=LEARNERS, lam=0.5, hp=None,
+                   pseudo_config=PseudoConfig(), window="full", m_truth=20000,
+                   floor=PROPENSITY_FLOOR):
+    """One full cell: build it, fit every learner, score against ground
+    truth. Returns {learner: rmse} plus guard-rate info."""
+    cell, test, truth = build_cell(config, seed=seed, lam=lam, hp=hp, window=window,
+                                   m_truth=m_truth, floor=floor)
     result = {"seed": seed, "rmse": {}, "guard_rate": 0.0}
     for name in learners:
         model = train_learner(cell, name, hp=hp, pseudo_config=pseudo_config, seed=seed)

@@ -56,7 +56,8 @@ class NuisanceEvaluation:
     """Nuisance values on one dataset for one plan. Arrays are indexed
     [unit, step] with step k corresponding to time t + k.
 
-    pi: floored plan propensities; ind: 1{A_{t+k} = a_{t+k}};
+    pi: plan propensities, floored unless evaluated at floor 0;
+    ind: 1{A_{t+k} = a_{t+k}};
     mu: response predictions mu_{t+k}(H_{t+k});
     w_next: tail weights W_{t+k+1}(H_{t+k}) (ones at the final step);
     omega_t: overlap weights pi_t * W_{t+1} at the anchor.
@@ -72,6 +73,27 @@ class NuisanceEvaluation:
     def omega_t(self) -> np.ndarray:
         return self.pi[:, 0] * self.w_next[:, 0]
 
+    def floored(self, floor: float) -> "NuisanceEvaluation":
+        """A copy with pi clipped to [floor, 1]; the other arrays are shared."""
+        return replace(self, pi=np.clip(self.pi, floor, 1.0))
+
+    @classmethod
+    def from_steps(cls, plan: InterventionPlan, data: Dataset, step) -> "NuisanceEvaluation":
+        """Evaluate a plan's nuisances on `data`, one step at a time.
+
+        `step(k, j)` returns (plan propensity, response, tail weight or None)
+        at step k, time j = t + k; a None tail weight leaves W at one."""
+        steps = plan.horizon + 1
+        pi = np.empty((data.n, steps))
+        mu = np.empty((data.n, steps))
+        w_next = np.ones((data.n, steps))
+        for k in range(steps):
+            pi[:, k], mu[:, k], w = step(k, plan.start + k)
+            if w is not None:
+                w_next[:, k] = w
+        ind = (data.a[:, plan.start : plan.end + 1] == np.array(plan.values)).astype(float)
+        return cls(plan, pi, ind, mu, w_next)
+
 
 class FittedNuisances:
     """Backbone-fitted nuisances for one plan."""
@@ -84,26 +106,17 @@ class FittedNuisances:
         self.window = window
 
     def evaluate(self, data: Dataset, floor: float = PROPENSITY_FLOOR) -> NuisanceEvaluation:
-        t, tau = self.plan.start, self.plan.horizon
-        steps = tau + 1
-        n = data.n
-        pi = np.empty((n, steps))
-        ind = np.empty((n, steps))
-        mu = np.empty((n, steps))
-        w_next = np.ones((n, steps))
-        for k in range(steps):
-            j = t + k
-            feats, _ = feature_matrix(data, j, window=self.window)
+        def step(k, j):
+            feats = feature_matrix(data, j, window=self.window)
             p1 = self.propensity_models[j].predict(feats)
-            p_plan = p1 if self.plan.values[k] == 1 else 1.0 - p1
-            pi[:, k] = np.clip(p_plan, floor, 1.0) if floor else p_plan
-            ind[:, k] = (data.a[:, j] == self.plan.values[k]).astype(float)
-            mu[:, k] = self.response_models[j].predict(feats)
+            pi = p1 if self.plan.values[k] == 1 else 1.0 - p1
+            mu = self.response_models[j].predict(feats)
+            w = None
             if j in self.weight_models:
-                w_next[:, k] = np.clip(
-                    self.weight_models[j].predict(feats), WEIGHT_CLAMP[0], WEIGHT_CLAMP[1]
-                )
-        return NuisanceEvaluation(self.plan, pi, ind, mu, w_next)
+                w = np.clip(self.weight_models[j].predict(feats), *WEIGHT_CLAMP)
+            return pi, mu, w
+
+        return NuisanceEvaluation.from_steps(self.plan, data, step).floored(floor)
 
 
 def fit_propensity_models(data: Dataset, t: int, tau: int, hp=None, window="full", seed=0):
@@ -113,7 +126,7 @@ def fit_propensity_models(data: Dataset, t: int, tau: int, hp=None, window="full
     hp = hp or backbone.Hyperparameters()
     models, fitted = {}, {}
     for j in range(t, t + tau + 1):
-        feats, _ = feature_matrix(data, j, window=window)
+        feats = feature_matrix(data, j, window=window)
         labels = data.a[:, j].astype(float)
         if labels.min() == labels.max():
             warnings.warn(f"treatment at time {j} is constant; using a saturated propensity")
@@ -145,7 +158,7 @@ def fit_response_models(data: Dataset, plan: InterventionPlan, hp=None, window="
     target = data.y[:, t + tau].copy()
     for j in range(t + tau, t - 1, -1):
         a_j = plan.values[j - t]
-        feats, _ = feature_matrix(data, j, window=window)
+        feats = feature_matrix(data, j, window=window)
         sel = data.a[:, j] == a_j
         n_sel = int(sel.sum())
         log.append({"time": j, "arm": a_j, "n_fit": n_sel})
@@ -178,7 +191,7 @@ def fit_weight_models(data: Dataset, plan: InterventionPlan, propensity_models, 
     pi_hat = np.empty((data.n, tau + 1))
     for k in range(tau + 1):
         j = t + k
-        feats, _ = feature_matrix(data, j, window=window)
+        feats = feature_matrix(data, j, window=window)
         p1 = propensity_models[j].predict(feats)
         pi_hat[:, k] = p1 if plan.values[k] == 1 else 1.0 - p1
     models, fitted = {}, {}
@@ -192,7 +205,7 @@ def fit_weight_models(data: Dataset, plan: InterventionPlan, propensity_models, 
             warnings.warn(f"tail-weight target at time {j} is constant; using it as the weight")
             models[j] = _ConstantModel(tail[0])
         else:
-            feats, _ = feature_matrix(data, j, window=window)
+            feats = feature_matrix(data, j, window=window)
             fitted[j] = (backbone.regression_problem(feats, tail),
                          replace(hp, seed=_child_seed(seed, 0xC, j)))
     return _fit_stacked(models, fitted)
@@ -234,23 +247,16 @@ class OracleBackedNuisances:
         """The oracle's values on `data`, without corruptions or floor."""
         from .dgp import State  # local import to keep module layering one-way
 
-        t, tau = self.plan.start, self.plan.horizon
-        steps = tau + 1
-        n = data.n
-        pi = np.empty((n, steps))
-        ind = np.empty((n, steps))
-        mu = np.empty((n, steps))
-        w_next = np.ones((n, steps))
-        for k in range(steps):
-            j = t + k
+        def step(k, j):
             st = State.from_dataset(data, j)
-            pi[:, k] = self.oracle.propensity(j, st.x, st.y_prev, st.a_prev)
-            ind[:, k] = (data.a[:, j] == self.plan.values[k]).astype(float)
-            mu[:, k] = self.oracle.response_exact(j, st.x, x_prev=st.x_prev)
-            if k < steps - 1:
-                w_next[:, k] = self.oracle.tail_weight(j, st.x, st.y_prev, st.a_prev,
-                                                       x_prev=st.x_prev)
-        return NuisanceEvaluation(self.plan, pi, ind, mu, w_next)
+            pi = self.oracle.propensity(j, st.x, st.y_prev, st.a_prev)
+            mu = self.oracle.response_exact(j, st.x, x_prev=st.x_prev)
+            w = None
+            if j < self.plan.end:
+                w = self.oracle.tail_weight(j, st.x, st.y_prev, st.a_prev, x_prev=st.x_prev)
+            return pi, mu, w
+
+        return NuisanceEvaluation.from_steps(self.plan, data, step)
 
     def perturb(self, clean: NuisanceEvaluation, floor: float = 0.0) -> NuisanceEvaluation:
         """This object's corruptions and floor applied to a clean
@@ -263,5 +269,4 @@ class OracleBackedNuisances:
             mu = mu + self.corrupt_mu
         if self.corrupt_w is not None:
             w_next = w_next + self.corrupt_w
-        pi = np.clip(pi, max(floor, 1e-12), 1.0)
-        return NuisanceEvaluation(self.plan, pi, clean.ind, mu, w_next)
+        return NuisanceEvaluation(self.plan, pi, clean.ind, mu, w_next).floored(max(floor, 1e-12))

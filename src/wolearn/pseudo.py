@@ -44,7 +44,6 @@ GUARD_RATE_WARN = 0.20
 class PseudoConfig:
     eps_rho: float = 1e-6
     rho_tau0_collapse: bool = False
-    clamp_ratio: float = None  # optional cap on |omega / rho|
     # Clamp negative rho to zero when used as second-stage weights. rho is
     # conditionally unbiased for omega >= 0 but individual draws go
     # negative; negative weights make the empirical weighted objective
@@ -113,22 +112,6 @@ def _guarded(rho: np.ndarray, eps: float):
     return sign * np.maximum(np.abs(rho), eps), flag
 
 
-def capo_pseudo(ev: NuisanceEvaluation, y_final, config: PseudoConfig = PseudoConfig()):
-    """Pseudo-outcomes targeting the conditional average potential outcome
-    of a single plan."""
-    gamma = gamma_plan(ev, y_final)
-    rho = rho_plan(ev, collapse_tau0=config.rho_tau0_collapse)
-    omega = ev.omega_t
-    mu = ev.mu[:, 0]
-    rho_g, flag = _guarded(rho, config.eps_rho)
-    ratio = omega / rho_g
-    if config.clamp_ratio is not None:
-        ratio = np.clip(ratio, -config.clamp_ratio, config.clamp_ratio)
-    out = PseudoOutcomes(gamma, rho, omega, mu, mu + ratio * (gamma - mu), flag)
-    _warn_guard(out)
-    return out
-
-
 def cate_pseudo(ev_a: NuisanceEvaluation, ev_b: NuisanceEvaluation, y_final,
                 config: PseudoConfig = PseudoConfig()):
     """Pseudo-outcomes targeting the effect contrast of plan a over plan b."""
@@ -140,10 +123,7 @@ def cate_pseudo(ev_a: NuisanceEvaluation, ev_b: NuisanceEvaluation, y_final,
     omega = om_a * om_b
     mu = ev_a.mu[:, 0] - ev_b.mu[:, 0]
     rho_g, flag = _guarded(rho, config.eps_rho)
-    ratio = omega / rho_g
-    if config.clamp_ratio is not None:
-        ratio = np.clip(ratio, -config.clamp_ratio, config.clamp_ratio)
-    out = PseudoOutcomes(gamma, rho, omega, mu, mu + ratio * (gamma - mu), flag)
+    out = PseudoOutcomes(gamma, rho, omega, mu, mu + omega / rho_g * (gamma - mu), flag)
     _warn_guard(out)
     return out
 

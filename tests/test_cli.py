@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 from wolearn.cli import ExperimentSpec, _check_consistency, main
 from wolearn.core import Dataset, ParameterError
+from wolearn.learners import run_experiment
 
 TINY = dict(kind="gamma", dgp={"n_train": 200, "n_test": 40, "T": 5},
             learners=["wo", "ra"], seeds=[0], window="1")
@@ -81,6 +82,20 @@ class TestRunCommand:
             rows = list(csv.DictReader(f))
         assert len(rows) == 100  # stage-2 half of n_train = 200
         assert set(rows[0]) == {"id", "gamma", "rho", "xi", "omega_t", "guard_flag"}
+
+    def test_scores_equal_run_experiment(self, tmp_path):
+        # Kind n has Monte Carlo truth: run and sweep must score one seed's
+        # cell against the same truth, so the RMSEs are equal, not close.
+        spec = ExperimentSpec(**{**TINY, "kind": "n", "out_dir": str(tmp_path)})
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec.to_dict()))
+        result = CliRunner().invoke(main, ["run", "--spec", str(spec_file), "--seed", "0"])
+        assert result.exit_code == 0, result.output
+        metrics = json.loads((tmp_path / "n_seed0" / "metrics.json").read_text())["metrics"]
+        expect = run_experiment(spec.config_for(), seed=0, learners=spec.learners, lam=spec.lam,
+                                pseudo_config=spec.pseudo_config, window=spec.window_value,
+                                floor=spec.floor)["rmse"]
+        assert {m["learner"]: m["rmse"] for m in metrics} == expect
 
 
 class TestSweepCommand:

@@ -2,19 +2,16 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wolearn.core import (
     Dataset,
-    HistoryView,
     InterventionPlan,
     ParameterError,
     Trajectory,
     always_treat,
-    feature_dim,
     feature_matrix,
-    featurize_history,
     never_treat,
     split_dataset,
 )
@@ -61,14 +58,13 @@ class TestInterventionPlan:
 class TestFeatures:
     def test_feature_dim_full_history(self):
         # T=5, d_x=1: 5 steps x (X, lagged Y, lagged A) + anchor index = 16
-        assert feature_dim(5, 1) == 16
         data = _toy_dataset(T=5, d_x=1)
-        values, mask = feature_matrix(data, anchor=4, window="full")
-        assert values.shape == (3, 16) and mask.shape == (16,)
+        values = feature_matrix(data, anchor=4, window="full")
+        assert values.shape == (3, 16)
 
     def test_feature_placement(self):
         data = _toy_dataset(n=2, T=4, d_x=2, seed=1)
-        values, mask = feature_matrix(data, anchor=2, window=2)
+        values = feature_matrix(data, anchor=2, window=2)
         # steps s = 1, 2 oldest first; per step (X_s, Y_{s-1}, A_{s-1})
         i = 0
         expect = np.column_stack(
@@ -79,22 +75,13 @@ class TestFeatures:
             ]
         )
         np.testing.assert_allclose(values, expect)
-        assert mask.all()
 
     def test_presample_slots_masked(self):
         data = _toy_dataset(n=2, T=3, d_x=1, seed=2)
-        values, mask = feature_matrix(data, anchor=0, window=2)
+        values = feature_matrix(data, anchor=0, window=2)
         # step s=-1 fully absent; s=0 lags absent; anchor index present
-        np.testing.assert_allclose(mask, [0, 0, 0, 1, 0, 0, 1])
         assert (values[:, :3] == 0).all() and (values[:, 4:6] == 0).all()
         np.testing.assert_allclose(values[:, 3], data.x[:, 0, 0])
-
-    def test_featurize_history_matches_matrix(self):
-        data = _toy_dataset(seed=3)
-        fv = featurize_history(HistoryView(data.trajectory(1), 3), window=2)
-        values, mask = feature_matrix(data, 3, window=2)
-        np.testing.assert_allclose(fv.values, values[1])
-        np.testing.assert_allclose(fv.mask, mask)
 
     def test_anchor_and_window_bounds(self):
         data = _toy_dataset()
@@ -126,6 +113,33 @@ class TestDataset:
         with pytest.raises(ParameterError):
             Dataset(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)))
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 6), T=st.integers(1, 4), d_x=st.integers(1, 3),
+           entry=st.sampled_from([("x", np.nan), ("y", np.nan), ("a", np.nan), ("a", 2),
+                                  ("a", 0.5), ("a", -1)]),
+           seed=st.integers(0, 50))
+    def test_bad_entries_rejected(self, n, T, d_x, entry, seed):
+        # One bad entry anywhere: NaN covariates or outcomes, or a treatment
+        # outside {0, 1} (0.5 must not be truncated to 0 by the int cast).
+        field, bad = entry
+        arrays = {"x": np.zeros((n, T, d_x)), "a": np.zeros((n, T)), "y": np.zeros((n, T))}
+        Dataset(**arrays)  # the clean panel is accepted
+        target = arrays[field].reshape(-1)
+        target[np.random.default_rng(seed).integers(target.size)] = bad
+        with pytest.raises(ParameterError):
+            Dataset(**arrays)
+
+    def test_jsonl_validates(self, tmp_path):
+        data = _toy_dataset(n=2, T=3, d_x=1, seed=4)
+        path = tmp_path / "panel.jsonl"
+        data.to_jsonl(path)
+        lines = path.read_text().splitlines()
+        row = json.loads(lines[1])
+        row["a"][0] = 2
+        path.write_text("\n".join([lines[0], json.dumps(row), *lines[2:]]) + "\n")
+        with pytest.raises(ParameterError, match="binary"):
+            Dataset.from_jsonl(path)
+
 
 class TestSplit:
     def test_split_sizes_and_disjointness(self):
@@ -150,8 +164,22 @@ class TestSplit:
                 split_dataset(data, lam, seed=0)
 
     @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 60), lam=st.floats(0.01, 0.99), seed=st.integers(0, 10))
+    @example(n=3, lam=0.3, seed=0)  # floor(0.9) = 0 stage-2 units
+    @example(n=1, lam=0.5, seed=0)
+    def test_split_never_returns_an_empty_side(self, n, lam, seed):
+        data = _toy_dataset(n=n, seed=9)
+        if not 0 < int(np.floor(lam * n)) < n:
+            with pytest.raises(ParameterError, match="empty"):
+                split_dataset(data, lam, seed=seed)
+        else:
+            nuis, stage2 = split_dataset(data, lam, seed=seed)
+            assert nuis.n > 0 and stage2.n > 0
+
+    @settings(max_examples=25, deadline=None)
     @given(n=st.integers(2, 60), lam=st.floats(0.05, 0.95), seed=st.integers(0, 10))
     def test_split_partitions_exactly(self, n, lam, seed):
+        assume(0 < int(np.floor(lam * n)) < n)  # empty sides are rejected
         data = _toy_dataset(n=n, seed=9)
         nuis, stage2 = split_dataset(data, lam, seed=seed)
         assert stage2.n == int(np.floor(lam * n))

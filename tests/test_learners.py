@@ -15,7 +15,7 @@ from wolearn.learners import (
     train_learner,
     train_wo,
 )
-from wolearn.nuisance import OracleBackedNuisances
+from wolearn.nuisance import OracleBackedNuisances, fit_nuisances, fit_propensity_models
 from wolearn.pseudo import PseudoConfig, cate_pseudo, risk_linear_term
 
 FAST = Hyperparameters(hidden=(8,), epochs=40)
@@ -65,6 +65,31 @@ class TestPrepareCell:
                             lambda data, lam, seed: (data, data.subset(np.arange(5))))
         with pytest.raises(ParameterError, match="disjoint"):
             prepare_cell(data, always_treat(t, cfg.tau), never_treat(t, cfg.tau), hp=FAST)
+
+    @pytest.mark.parametrize("oracle", [False, True], ids=["fitted", "oracle"])
+    def test_evaluations_equal_separate_calls(self, oracle):
+        # prepare_cell evaluates each arm once and floors a copy; that must
+        # give the bits of evaluating at the floor and at 0.0 separately.
+        # The floor is high so that it clips on both paths.
+        floor = 0.25
+        cfg = DgpConfig.make("gamma", gamma=6.5, n_train=400)
+        data = simulate(cfg, seed=3)
+        t = cfg.eval_anchor
+        pa, pb = always_treat(t, cfg.tau), never_treat(t, cfg.tau)
+        if oracle:
+            arms = [OracleBackedNuisances(oracle_nuisances(cfg, p, m=500)) for p in (pa, pb)]
+            cell = prepare_cell(data, pa, pb, floor=floor, nuisances=arms)
+        else:
+            cell = prepare_cell(data, pa, pb, hp=FAST, seed=3, window=1, floor=floor)
+            prop = fit_propensity_models(cell.nuis_split, t, cfg.tau, hp=FAST, window=1, seed=3)
+            arms = [fit_nuisances(cell.nuis_split, p, hp=FAST, window=1, seed=3,
+                                  propensity_models=prop) for p in (pa, pb)]
+        assert min(cell.ev_a_raw.pi.min(), cell.ev_b_raw.pi.min()) < floor
+        for arm, ev, raw in zip(arms, (cell.ev_a, cell.ev_b), (cell.ev_a_raw, cell.ev_b_raw)):
+            for got, at in ((ev, floor), (raw, 0.0)):
+                want = arm.evaluate(cell.stage2, floor=at)
+                for name in ("pi", "ind", "mu", "w_next"):
+                    np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
     def test_raw_propensities_unfloored(self):
         _, _, cell = _small_cell(gamma=6.5)

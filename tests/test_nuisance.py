@@ -72,7 +72,7 @@ class TestFittedNuisances:
         models = fit_propensity_models(data, t, 1, hp=FAST, window=1)
         from wolearn.core import feature_matrix
 
-        feats, _ = feature_matrix(data, t, window=1)
+        feats = feature_matrix(data, t, window=1)
         st_ = State.from_dataset(data, t)
         truth = sigmoid(propensity_logit(cfg, st_.x, st_.y_prev, st_.a_prev))
         pred = models[t].predict(feats)
@@ -84,7 +84,7 @@ class TestFittedNuisances:
         assert [entry["time"] for entry in log] == [t + 1, t]
         from wolearn.core import feature_matrix
 
-        feats, _ = feature_matrix(data, t, window=1)
+        feats = feature_matrix(data, t, window=1)
         st_ = State.from_dataset(data, t)
         truth = oracle_nuisances(cfg, plan).response_exact(t, st_.x, x_prev=st_.x_prev)
         assert np.sqrt(np.mean((models[t].predict(feats) - truth) ** 2)) < 0.1
@@ -96,7 +96,7 @@ class TestFittedNuisances:
         assert set(wmods) == {t}
         from wolearn.core import feature_matrix
 
-        feats, _ = feature_matrix(data, t, window=1)
+        feats = feature_matrix(data, t, window=1)
         st_ = State.from_dataset(data, t)
         truth = oracle_nuisances(cfg, plan, m=4000).tail_weight(
             t, st_.x, st_.y_prev, st_.a_prev, x_prev=st_.x_prev)

@@ -8,7 +8,6 @@ from wolearn.core import always_treat, never_treat
 from wolearn.nuisance import NuisanceEvaluation
 from wolearn.pseudo import (
     PseudoConfig,
-    capo_pseudo,
     cate_pseudo,
     gamma_plan,
     ipw_transform,
@@ -122,10 +121,11 @@ class TestContrastPseudoOutcomes:
     def test_guarded_xi_formula_and_bounded_linear_term(self):
         # Where |rho| < eps the ratio denominator is replaced by
         # sign(rho) * eps; the linear risk coefficient never divides.
-        ev = _random_eval(n=20, steps=1, seed=16)
+        ev_a = _random_eval(n=20, steps=1, seed=16)
+        ev_b = _random_eval(n=20, steps=1, seed=26, plan=never_treat(0, 0))
         y = np.random.default_rng(17).normal(size=20) * 10
         with pytest.warns(UserWarning, match="guard"):
-            po = capo_pseudo(ev, y, PseudoConfig(eps_rho=0.5))
+            po = cate_pseudo(ev_a, ev_b, y, PseudoConfig(eps_rho=0.5))
         hit = po.guard_flag
         assert hit.any() and not hit.all()
         guarded = np.where(po.rho < 0, -1.0, 1.0) * np.maximum(np.abs(po.rho), 0.5)
@@ -136,25 +136,25 @@ class TestContrastPseudoOutcomes:
         np.testing.assert_allclose(q, po.rho * po.mu + po.omega * (po.gamma - po.mu))
 
     def test_guard_flag_and_warning(self):
-        ev = _random_eval(n=10, steps=1, seed=18)
+        # tau=0 with complementary arms (pi_b = 1 - pi_a, I_b = 1 - I_a) and
+        # the default indicator convention: rho^{ab} = (A - pi_a)^2, so the
+        # units whose treatment the propensity predicted well are guarded
+        ev_a = _random_eval(n=40, steps=1, seed=18)
+        ev_b = NuisanceEvaluation(never_treat(0, 0), 1.0 - ev_a.pi, 1.0 - ev_a.ind,
+                                  ev_a.mu, ev_a.w_next)
         with pytest.warns(UserWarning, match="guard"):
-            po = capo_pseudo(ev, np.zeros(10))
-        # tau=0 default convention: rho = indicator, exactly 0 on
-        # non-followers, so those units are guarded
-        np.testing.assert_array_equal(po.guard_flag, ev.ind[:, 0] == 0.0)
-        assert po.guard_rate == float(np.mean(ev.ind[:, 0] == 0.0))
-
-    def test_clamp_ratio_caps_xi(self):
-        ev = _random_eval(n=30, steps=2, seed=19, pi_low=0.02)
-        y = np.random.default_rng(20).normal(size=30) * 50
-        po = capo_pseudo(ev, y, PseudoConfig(clamp_ratio=2.0))
-        assert (np.abs(po.xi - po.mu) <= 2.0 * np.abs(po.gamma - po.mu) + 1e-9).all()
+            po = cate_pseudo(ev_a, ev_b, np.zeros(40), PseudoConfig(eps_rho=0.1))
+        residual2 = (ev_a.ind[:, 0] - ev_a.pi[:, 0]) ** 2
+        np.testing.assert_allclose(po.rho, residual2, rtol=1e-12, atol=1e-15)
+        np.testing.assert_array_equal(po.guard_flag, np.abs(po.rho) < 0.1)
+        assert 0.0 < po.guard_rate == float(np.mean(np.abs(po.rho) < 0.1))
 
     def test_to_csv_roundtrip(self, tmp_path):
         import csv
 
-        ev = _random_eval(n=6, steps=2, seed=21)
-        po = capo_pseudo(ev, np.random.default_rng(22).normal(size=6))
+        ev_a = _random_eval(n=6, steps=2, seed=21)
+        ev_b = _random_eval(n=6, steps=2, seed=27, plan=never_treat(0, 1))
+        po = cate_pseudo(ev_a, ev_b, np.random.default_rng(22).normal(size=6))
         path = tmp_path / "po.csv"
         po.to_csv(path, ids=np.arange(10, 16))
         with open(path) as f:

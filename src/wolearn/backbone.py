@@ -23,18 +23,20 @@ import numpy as np
 
 from .core import ParameterError
 
+# Adam's moment decays and denominator guard, the usual defaults
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class Hyperparameters:
-    """Training settings; optimization is Adam with the usual moment decays."""
+    """Training settings; optimization is Adam with the module's constants."""
 
     hidden: tuple = (20,)
     learning_rate: float = 0.001
     epochs: int = 100
     batch_size: int = 64
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     dropout: float = 0.1
     seed: int = 0
 
@@ -311,10 +313,10 @@ def _train(problems, hps):
             _backward(layers, cache, dout, grad_layers)
             step += 1
             # Adam on the flat (K, P) arrays
-            m1 = hp.beta1 * m1 + (1 - hp.beta1) * grads
-            m2 = hp.beta2 * m2 + (1 - hp.beta2) * grads**2
-            params -= (hp.learning_rate * (m1 / (1.0 - hp.beta1**step))
-                       / (np.sqrt(m2 / (1.0 - hp.beta2**step)) + hp.adam_eps))
+            m1 = ADAM_BETA1 * m1 + (1 - ADAM_BETA1) * grads
+            m2 = ADAM_BETA2 * m2 + (1 - ADAM_BETA2) * grads**2
+            params -= (hp.learning_rate * (m1 / (1.0 - ADAM_BETA1**step))
+                       / (np.sqrt(m2 / (1.0 - ADAM_BETA2**step)) + ADAM_EPS))
     return params, dims
 
 

@@ -20,52 +20,6 @@ class ParameterError(ValueError):
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """One unit's complete panel: X (T, d_x), A (T,) in {0,1}, Y (T,)."""
-
-    covariates: np.ndarray
-    treatments: np.ndarray
-    outcomes: np.ndarray
-    id: int = 0
-
-    def __post_init__(self):
-        x = np.asarray(self.covariates, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
-        a = np.asarray(self.treatments)
-        y = np.asarray(self.outcomes, dtype=float)
-        if not (len(x) == len(a) == len(y)) or len(x) < 1:
-            raise ParameterError("covariates, treatments, outcomes must share length T >= 1")
-        if not np.isin(a, (0, 1)).all():
-            raise ParameterError("treatments must be binary")
-        if np.isnan(x).any() or np.isnan(y).any():
-            raise ParameterError("missing entries are not supported")
-        object.__setattr__(self, "covariates", x)
-        object.__setattr__(self, "treatments", a.astype(np.int64))
-        object.__setattr__(self, "outcomes", y)
-
-    @property
-    def T(self) -> int:
-        return len(self.outcomes)
-
-    @property
-    def d_x(self) -> int:
-        return self.covariates.shape[1]
-
-
-@dataclass(frozen=True)
-class HistoryView:
-    """The history H_t of a trajectory at anchor time t."""
-
-    trajectory: Trajectory
-    anchor: int
-
-    def __post_init__(self):
-        if not 0 <= self.anchor < self.trajectory.T:
-            raise IndexError(f"anchor {self.anchor} out of range [0, {self.trajectory.T})")
-
-
-@dataclass(frozen=True)
 class InterventionPlan:
     """A fixed treatment sequence a_{t:t+tau} starting at `start`."""
 
@@ -85,9 +39,6 @@ class InterventionPlan:
     @property
     def end(self) -> int:
         return self.start + self.horizon
-
-    def complement(self) -> "InterventionPlan":
-        return InterventionPlan(self.start, tuple(1 - v for v in self.values))
 
 
 def always_treat(start: int, tau: int) -> InterventionPlan:
@@ -133,9 +84,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.n
-
-    def trajectory(self, i: int) -> Trajectory:
-        return Trajectory(self.x[i], self.a[i], self.y[i], id=int(self.ids[i]))
 
     def subset(self, idx) -> "Dataset":
         return Dataset(self.x[idx], self.a[idx], self.y[idx], ids=self.ids[idx], meta=self.meta)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .core import Dataset, HistoryView, InterventionPlan, ParameterError
+from .core import Dataset, InterventionPlan, ParameterError
 
 SIGMA_Y_DEFAULT = 0.3
 # AR(1) X_t = 0.5 X_{t-1} + eps has stationary variance 1 when
@@ -73,10 +73,6 @@ class DgpConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DgpConfig":
-        return cls(**d)
 
     @property
     def eval_anchor(self) -> int:
@@ -126,21 +122,11 @@ class State:
     a_prev: np.ndarray
 
     @classmethod
-    def from_history(cls, h: HistoryView):
-        tr, t = h.trajectory, h.anchor
-        x_prev = tr.covariates[t - 1] if t >= 1 else np.zeros(tr.d_x)
-        y_prev = tr.outcomes[t - 1] if t >= 1 else 0.0
-        a_prev = tr.treatments[t - 1] if t >= 1 else 0
-        return cls(
-            x=tr.covariates[t][None, :],
-            x_prev=np.asarray(x_prev, dtype=float)[None, :],
-            y_prev=np.array([y_prev], dtype=float),
-            a_prev=np.array([a_prev], dtype=float),
-        )
-
-    @classmethod
     def from_dataset(cls, data: Dataset, anchor: int):
+        """Every unit's state at `anchor`; the lags before time 0 are zero."""
         t = anchor
+        if not 0 <= t < data.T:
+            raise IndexError(f"anchor {t} out of range [0, {data.T})")
         zeros = np.zeros((data.n, data.d_x))
         return cls(
             x=data.x[:, t, :],
@@ -209,39 +195,45 @@ def simulate(config: DgpConfig, seed=None, n=None) -> Dataset:
     return Dataset(out["x"], out["a"].astype(np.int64), out["y"], meta=meta)
 
 
-def conditional_rollout(config: DgpConfig, h: HistoryView, plan, m: int, seed=0):
-    """m simulated futures of (X, A, Y) for times anchor..anchor+tau given
-    the history. `plan` is an InterventionPlan (treatments forced) or the
-    string "observational"."""
+def _unit_state(data: Dataset, anchor: int, m: int) -> State:
+    """The state at `anchor` of the one unit in `data`, repeated m times."""
+    if data.n != 1:
+        raise ParameterError("pass one unit, e.g. data.subset([i])")
     if m < 1:
         raise ParameterError("m must be >= 1")
+    return State.from_dataset(data, anchor).tile(m)
+
+
+def conditional_rollout(config: DgpConfig, data: Dataset, anchor: int, plan, m: int, seed=0):
+    """m simulated futures of (X, A, Y) from `anchor` on, given the history
+    of the one unit in `data`. `plan` is an InterventionPlan (treatments
+    forced up to its end) or the string "observational" (the rest of the
+    panel)."""
     if plan == "observational":
-        forced = None
-        steps = h.trajectory.T - h.anchor
-        raise_if_beyond = False
+        forced, steps = None, data.T - anchor
     else:
-        if plan.start != h.anchor:
+        if plan.start != anchor:
             raise ParameterError("plan must start at the history anchor")
-        steps = plan.horizon + 1
-        forced = list(plan.values)
-        raise_if_beyond = True
-    if h.anchor + steps > h.trajectory.T and raise_if_beyond:
-        raise HorizonError("plan extends past the trajectory length")
+        forced, steps = list(plan.values), plan.horizon + 1
+        if anchor + steps > data.T:
+            raise HorizonError("plan extends past the trajectory length")
+    state = _unit_state(data, anchor, m)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA0)))
-    state = State.from_history(h).tile(m)
     return rollout(config, state, steps, rng=rng, forced=forced)
 
 
-def ground_truth_cate(config: DgpConfig, h: HistoryView, plan_a, plan_b, m: int, seed=0):
-    """Monte Carlo CATE at one history: mean final-outcome difference over m
-    paired rollouts with common random numbers across the two arms."""
-    if plan_a.start != plan_b.start or plan_a.horizon != plan_b.horizon:
-        raise ParameterError("plans must share anchor and horizon")
+def ground_truth_cate(config: DgpConfig, data: Dataset, anchor: int, plan_a, plan_b, m: int,
+                      seed=0):
+    """Monte Carlo CATE at the history of the one unit in `data`: mean
+    final-outcome difference over m paired rollouts with common random
+    numbers across the two arms."""
+    if not plan_a.start == plan_b.start == anchor or plan_a.horizon != plan_b.horizon:
+        raise ParameterError("plans must start at the history anchor and share the horizon")
     steps = plan_a.horizon + 1
-    if h.anchor + steps > h.trajectory.T:
+    if anchor + steps > data.T:
         raise HorizonError("plan extends past the trajectory length")
+    state = _unit_state(data, anchor, m)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC7E)))
-    state = State.from_history(h).tile(m)
     noise = _draw_noise(config, (m,), steps, rng)
     ya = rollout(config, state, steps, forced=list(plan_a.values), noise=noise)["y"][:, -1]
     yb = rollout(config, state, steps, forced=list(plan_b.values), noise=noise)["y"][:, -1]
@@ -324,8 +316,6 @@ class OracleNuisanceSet:
     Gauss-Hermite quadrature where the family admits them. All evaluators
     are deterministic given (config, m, seed) and vectorized over states.
     """
-
-    kind = "oracle"
 
     def __init__(self, config: DgpConfig, plan: InterventionPlan, m: int = 10000, seed: int = 0):
         self.config = config

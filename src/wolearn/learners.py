@@ -123,10 +123,10 @@ def _with_plan(feats: np.ndarray, plan: InterventionPlan) -> np.ndarray:
     return np.concatenate([feats, cols], axis=1)
 
 
-def train_wo(cell: Cell, hp=None, pseudo_config: PseudoConfig = PseudoConfig(), seed=0,
-             stage2_dropout=STAGE2_DROPOUT) -> CateModel:
+def train_wo(cell: Cell, hp=None, pseudo_config: PseudoConfig = PseudoConfig(),
+             seed=0) -> CateModel:
     """Second stage of the overlap-weighted orthogonal learner."""
-    hp = replace(hp or backbone.Hyperparameters(), dropout=stage2_dropout)
+    hp = replace(hp or backbone.Hyperparameters(), dropout=STAGE2_DROPOUT)
     po = cate_pseudo(cell.ev_a, cell.ev_b, cell.y_final, pseudo_config)
     # Optimize the expanded product form of the weighted risk: its
     # coefficients stay bounded where the ratio target xi does not.
@@ -141,25 +141,27 @@ def train_wo(cell: Cell, hp=None, pseudo_config: PseudoConfig = PseudoConfig(), 
     return CateModel("wo", net, cell.plan_a, cell.plan_b, cell.window, po.guard_rate)
 
 
-def train_baseline(cell: Cell, name: str, hp=None, seed=0, floor=True) -> CateModel:
-    """Train one of the baseline learners: dr, ipw, ra, or ha. `floor=False`
-    uses unfloored propensities (meaningful for ipw)."""
+def train_baseline(cell: Cell, name: str, hp=None, seed=0) -> CateModel:
+    """Train one of the baseline learners: dr, ipw, ra, ha, or ipw_nofloor
+    (ipw on unfloored propensities)."""
     hp = hp or backbone.Hyperparameters()
-    ev_a = cell.ev_a if floor else cell.ev_a_raw
-    ev_b = cell.ev_b if floor else cell.ev_b_raw
+    ev_a, ev_b, y = cell.ev_a, cell.ev_b, cell.y_final
     if name == "dr":
-        target = gamma_plan(ev_a, cell.y_final) - gamma_plan(ev_b, cell.y_final)
+        target = gamma_plan(ev_a, y) - gamma_plan(ev_b, y)
     elif name == "ipw":
-        target = ipw_transform(ev_a, ev_b, cell.y_final)
+        target = ipw_transform(ev_a, ev_b, y)
+    elif name == "ipw_nofloor":
+        target = ipw_transform(cell.ev_a_raw, cell.ev_b_raw, y)
     elif name == "ra":
         target = ev_a.mu[:, 0] - ev_b.mu[:, 0]
     elif name == "ha":
         return _train_ha(cell, hp, seed)
     else:
         raise ParameterError(f"unknown learner {name!r}")
-    net = backbone.fit_regressor(
-        cell.stage2_features, target,
-        hp=replace(hp, seed=_child_seed(seed, 0x11, LEARNERS.index(name))))
+    # the no-floor ablation changes the propensities only, not the seed
+    index = LEARNERS.index("ipw" if name == "ipw_nofloor" else name)
+    net = backbone.fit_regressor(cell.stage2_features, target,
+                                 hp=replace(hp, seed=_child_seed(seed, 0x11, index)))
     return CateModel(name, net, cell.plan_a, cell.plan_b, cell.window)
 
 
@@ -178,10 +180,6 @@ def train_learner(cell: Cell, name: str, hp=None, pseudo_config=PseudoConfig(),
                   seed=0) -> CateModel:
     if name == "wo":
         return train_wo(cell, hp=hp, pseudo_config=pseudo_config, seed=seed)
-    if name == "ipw_nofloor":
-        model = train_baseline(cell, "ipw", hp=hp, seed=seed, floor=False)
-        model.name = "ipw_nofloor"
-        return model
     return train_baseline(cell, name, hp=hp, seed=seed)
 
 

@@ -226,25 +226,17 @@ def fit_nuisances(data: Dataset, plan: InterventionPlan, hp=None, window="full",
 class OracleBackedNuisances:
     """Ground-truth nuisances exposed through the FittedNuisances interface;
     for diagnostics that must separate estimator error from nuisance error.
-
-    Optional additive corruptions (arrays broadcastable over units/steps)
-    shift each family before flooring, to probe sensitivity:
-    `corrupt_pi` perturbs the plan propensity, `corrupt_mu` the responses,
-    `corrupt_w` the tail weights.
+    Tail weights are not clamped. To probe sensitivity, shift a copy of an
+    evaluation (`dataclasses.replace(ev, mu=ev.mu + d)`) and floor it again.
     """
 
-    def __init__(self, oracle, corrupt_pi=None, corrupt_mu=None, corrupt_w=None):
+    def __init__(self, oracle):
         self.oracle = oracle  # dgp.OracleNuisanceSet
         self.plan = oracle.plan
-        self.corrupt_pi = corrupt_pi
-        self.corrupt_mu = corrupt_mu
-        self.corrupt_w = corrupt_w
 
     def evaluate(self, data: Dataset, floor: float = 0.0) -> NuisanceEvaluation:
-        return self.perturb(self.evaluate_clean(data), floor)
-
-    def evaluate_clean(self, data: Dataset) -> NuisanceEvaluation:
-        """The oracle's values on `data`, without corruptions or floor."""
+        """The oracle's values on `data`, pi floored at `floor`; the floor is
+        at least 1e-12 because 1 - p1 can be exactly 0."""
         from .dgp import State  # local import to keep module layering one-way
 
         def step(k, j):
@@ -256,17 +248,4 @@ class OracleBackedNuisances:
                 w = self.oracle.tail_weight(j, st.x, st.y_prev, st.a_prev, x_prev=st.x_prev)
             return pi, mu, w
 
-        return NuisanceEvaluation.from_steps(self.plan, data, step)
-
-    def perturb(self, clean: NuisanceEvaluation, floor: float = 0.0) -> NuisanceEvaluation:
-        """This object's corruptions and floor applied to a clean
-        evaluation. `clean` is not modified; arrays that no corruption
-        touches are shared with it."""
-        pi, mu, w_next = clean.pi, clean.mu, clean.w_next
-        if self.corrupt_pi is not None:
-            pi = pi + self.corrupt_pi
-        if self.corrupt_mu is not None:
-            mu = mu + self.corrupt_mu
-        if self.corrupt_w is not None:
-            w_next = w_next + self.corrupt_w
-        return NuisanceEvaluation(self.plan, pi, clean.ind, mu, w_next).floored(max(floor, 1e-12))
+        return NuisanceEvaluation.from_steps(self.plan, data, step).floored(max(floor, 1e-12))

@@ -31,12 +31,12 @@ their seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import dgp
-from .core import Dataset, HistoryView, always_treat, never_treat
+from .core import Dataset, always_treat, never_treat
 from .nuisance import OracleBackedNuisances
 from .pseudo import (PseudoConfig, cate_pseudo, gamma_plan, ipw_transform,
                      rho_plan, risk_linear_term)
@@ -70,29 +70,28 @@ def _z(values, target):
     return (m - target) / se if se > 0 else 0.0
 
 
-def _completed_dataset(config, data: Dataset, unit: int, anchor: int, m: int, seed: int):
-    """m copies of one trajectory whose segment from `anchor` onward is
-    re-simulated under the observational law given the history."""
-    h = HistoryView(data.trajectory(unit), anchor)
-    out = dgp.conditional_rollout(config, h, "observational", m, seed=seed)
+def _completed_dataset(config, unit: Dataset, anchor: int, m: int, seed: int):
+    """m copies of the one trajectory in `unit` whose segment from `anchor`
+    onward is re-simulated under the observational law given the history."""
+    out = dgp.conditional_rollout(config, unit, anchor, "observational", m, seed=seed)
     steps = out["y"].shape[1]
-    x = np.repeat(data.x[unit][None], m, axis=0)
-    a = np.repeat(data.a[unit][None], m, axis=0).astype(float)
-    y = np.repeat(data.y[unit][None], m, axis=0)
+    x = np.repeat(unit.x, m, axis=0)
+    a = np.repeat(unit.a, m, axis=0).astype(float)
+    y = np.repeat(unit.y, m, axis=0)
     x[:, anchor : anchor + steps] = out["x"]
     a[:, anchor : anchor + steps] = out["a"]
     y[:, anchor : anchor + steps] = out["y"]
     return Dataset(x, a.astype(np.int64), y)
 
 
-def _oracle_pair(config, plan_a, plan_b, m=10000, seed=0, **corrupt):
-    na = OracleBackedNuisances(dgp.oracle_nuisances(config, plan_a, m=m, seed=seed), **corrupt)
-    nb = OracleBackedNuisances(dgp.oracle_nuisances(config, plan_b, m=m, seed=seed), **corrupt)
-    return na, nb
+def _oracle_pair(config, plan_a, plan_b, m=10000, seed=0):
+    return tuple(OracleBackedNuisances(dgp.oracle_nuisances(config, plan, m=m, seed=seed))
+                 for plan in (plan_a, plan_b))
 
 
-def _history_targets(na, nb, config, data, unit, t, plan_a, plan_b):
-    st = dgp.State.from_dataset(data.subset([unit]), t)
+def _history_targets(na, nb, unit: Dataset, t):
+    """Oracle (mu_a, mu_b, omega_a, omega_b) at the one history in `unit`."""
+    st = dgp.State.from_dataset(unit, t)
     mu_a = float(na.oracle.response_exact(t, st.x, x_prev=st.x_prev)[0])
     mu_b = float(nb.oracle.response_exact(t, st.x, x_prev=st.x_prev)[0])
     om_a = float(na.oracle.omega(t, st.x, st.y_prev, st.a_prev, x_prev=st.x_prev)[0])
@@ -109,20 +108,21 @@ def _conditional_mean_check(name, stat_fn, seed, n_histories, m, z_max, min_pass
     t, tau = config.eval_anchor, config.tau
     plan_a, plan_b = always_treat(t, tau), never_treat(t, tau)
     data = dgp.simulate(config, seed=seed, n=n_histories)
-    corrupt = {"corrupt_mu": corrupt_mu} if corrupt_mu is not None else {}
-    na, nb = _oracle_pair(config, plan_a, plan_b, seed=seed, **corrupt)
-    # oracle targets come from the clean nuisances even when the evaluated
-    # responses are corrupted (the double-robustness probe)
-    ca, cb = _oracle_pair(config, plan_a, plan_b, seed=seed)
+    na, nb = _oracle_pair(config, plan_a, plan_b, seed=seed)
 
     worst = 0.0
     n_ok = 0
     rows = []
     for i in range(n_histories):
-        comp = _completed_dataset(config, data, i, t, m, seed=seed * 1000 + i)
+        unit = data.subset([i])
+        comp = _completed_dataset(config, unit, t, m, seed=seed * 1000 + i)
         ev_a = na.evaluate(comp, floor=0.0)
         ev_b = nb.evaluate(comp, floor=0.0)
-        targets = _history_targets(ca, cb, config, data, i, t, plan_a, plan_b)
+        if corrupt_mu is not None:
+            # the double-robustness probe: shifted copies of the responses
+            # enter the pseudo-outcomes, the targets stay clean
+            ev_a, ev_b = (replace(ev, mu=ev.mu + corrupt_mu) for ev in (ev_a, ev_b))
+        targets = _history_targets(na, nb, unit, t)
         zs = {label: _z(values, target)
               for label, (values, target) in stat_fn(ev_a, ev_b, comp.y[:, t + tau], targets).items()}
         z_hist = max(abs(v) for v in zs.values())
@@ -303,22 +303,20 @@ def check_orthogonality(seed=0, n=200000, scales=SCALE_GRID,
     d_w = 0.3 * dirs.copy()
     d_w[:, -1] = 0.0  # the final-step tail weight is identically one
 
-    # The oracles are evaluated once; each probe corrupts and floors copies.
-    oracle_a = dgp.oracle_nuisances(config, plan_a, seed=seed)
-    oracle_b = dgp.oracle_nuisances(config, plan_b, seed=seed)
-    clean_a = OracleBackedNuisances(oracle_a).evaluate_clean(data)
-    clean_b = OracleBackedNuisances(oracle_b).evaluate_clean(data)
+    # The oracles are evaluated once per arm; each probe shifts copies of
+    # the evaluations and floors them.
+    na, nb = _oracle_pair(config, plan_a, plan_b, seed=seed)
+    clean_a, clean_b = na.evaluate(data), nb.evaluate(data)
 
     def derivatives(family, r):
-        kw_a, kw_b = {}, {}
+        ev_a, ev_b = clean_a, clean_b
         if family == "pi":
-            kw_a = {"corrupt_pi": r * d_pi}
+            ev_a = replace(ev_a, pi=ev_a.pi + r * d_pi)
         elif family == "mu":
-            kw_a, kw_b = {"corrupt_mu": r * d_mu}, {"corrupt_mu": -r * d_mu}
+            ev_a, ev_b = replace(ev_a, mu=ev_a.mu + r * d_mu), replace(ev_b, mu=ev_b.mu - r * d_mu)
         elif family == "w":
-            kw_a = kw_b = {"corrupt_w": r * d_w}
-        ev_a = OracleBackedNuisances(oracle_a, **kw_a).perturb(clean_a, floor=1e-3)
-        ev_b = OracleBackedNuisances(oracle_b, **kw_b).perturb(clean_b, floor=1e-3)
+            ev_a, ev_b = (replace(ev, w_next=ev.w_next + r * d_w) for ev in (ev_a, ev_b))
+        ev_a, ev_b = ev_a.floored(1e-3), ev_b.floored(1e-3)
         po = cate_pseudo(ev_a, ev_b, y_final)
         return {
             "wo": -2.0 * (risk_linear_term(po) - po.rho * g) * dg,
@@ -414,7 +412,7 @@ def check_r_learner_reduction(seed=0, n=4000, m=100000, n_histories=10, tol=1e-1
     units = rng_units.choice(n, size=n_histories, replace=False)
     worst_z = 0.0
     for i, u in enumerate(units):
-        comp = _completed_dataset(config, data, int(u), t, m, seed=seed * 100 + i)
+        comp = _completed_dataset(config, data.subset([int(u)]), t, m, seed=seed * 100 + i)
         c_po = cate_pseudo(na.evaluate(comp, floor=0.0), nb.evaluate(comp, floor=0.0),
                            comp.y[:, t])
         worst_z = max(worst_z, abs(_z(c_po.rho, float(e[u] * (1.0 - e[u])))))

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from wolearn.backbone import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     Hyperparameters,
     Network,
     classification_problem,
@@ -169,10 +172,10 @@ def _reference_fit(problem, hp):
                         delta = delta * masks[i]
             step += 1
             for k, g in enumerate(grads):
-                m1[k] = hp.beta1 * m1[k] + (1 - hp.beta1) * g
-                m2[k] = hp.beta2 * m2[k] + (1 - hp.beta2) * g**2
-                params[k] = params[k] - hp.learning_rate * (m1[k] / (1.0 - hp.beta1**step)) / (
-                    np.sqrt(m2[k] / (1.0 - hp.beta2**step)) + hp.adam_eps)
+                m1[k] = ADAM_BETA1 * m1[k] + (1 - ADAM_BETA1) * g
+                m2[k] = ADAM_BETA2 * m2[k] + (1 - ADAM_BETA2) * g**2
+                params[k] = params[k] - hp.learning_rate * (m1[k] / (1.0 - ADAM_BETA1**step)) / (
+                    np.sqrt(m2[k] / (1.0 - ADAM_BETA2**step)) + ADAM_EPS)
     return params
 
 

@@ -9,7 +9,6 @@ from wolearn.core import (
     Dataset,
     InterventionPlan,
     ParameterError,
-    Trajectory,
     always_treat,
     feature_matrix,
     never_treat,
@@ -26,27 +25,12 @@ def _toy_dataset(n=3, T=5, d_x=1, seed=0):
     )
 
 
-class TestTrajectory:
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            Trajectory(np.zeros((3, 1)), [0, 1, 2], np.zeros(3))  # non-binary
-        with pytest.raises(ParameterError):
-            Trajectory(np.zeros((3, 1)), [0, 1], np.zeros(3))  # length mismatch
-        with pytest.raises(ParameterError):
-            Trajectory(np.array([[np.nan]]), [0], [0.0])  # missing entry
-
-    def test_1d_covariates_promoted(self):
-        tr = Trajectory(np.zeros(4), np.zeros(4, dtype=int), np.zeros(4))
-        assert tr.covariates.shape == (4, 1)
-        assert tr.T == 4 and tr.d_x == 1
-
-
 class TestInterventionPlan:
     def test_always_never_complement(self):
         a = always_treat(2, 3)
         assert a.values == (1, 1, 1, 1)
         assert a.horizon == 3 and a.end == 5
-        assert a.complement() == never_treat(2, 3)
+        assert never_treat(2, 3) == InterventionPlan(2, (0, 0, 0, 0))
 
     def test_validation(self):
         with pytest.raises(ParameterError):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wolearn import dgp
-from wolearn.core import HistoryView, InterventionPlan, always_treat, never_treat
+from wolearn.core import InterventionPlan, ParameterError, always_treat, never_treat
 from wolearn.dgp import (
     ConfigError,
     DgpConfig,
@@ -35,7 +35,7 @@ class TestConfig:
     def test_overrides_and_roundtrip(self):
         cfg = DgpConfig.make("gamma", gamma=6.5, n_train=2000)
         assert cfg.gamma == 6.5 and cfg.n_train == 2000
-        assert DgpConfig.from_dict(cfg.to_dict()) == cfg
+        assert DgpConfig(**cfg.to_dict()) == cfg
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
@@ -71,20 +71,48 @@ class TestSimulate:
         # under common noise leaves the covariate path untouched.
         cfg = DgpConfig.make("gamma", n_train=10)
         data = simulate(cfg, seed=1)
-        h = HistoryView(data.trajectory(0), 1)
-        a = conditional_rollout(cfg, h, always_treat(1, 2), m=50, seed=9)
-        b = conditional_rollout(cfg, h, never_treat(1, 2), m=50, seed=9)
+        unit = data.subset([0])
+        a = conditional_rollout(cfg, unit, 1, always_treat(1, 2), m=50, seed=9)
+        b = conditional_rollout(cfg, unit, 1, never_treat(1, 2), m=50, seed=9)
         np.testing.assert_allclose(a["x"], b["x"])
         assert not np.allclose(a["y"], b["y"])
 
     def test_conditional_rollout_obeys_plan(self):
         cfg = DgpConfig.make("gamma", n_train=5)
         data = simulate(cfg, seed=2)
-        h = HistoryView(data.trajectory(2), 2)
-        out = conditional_rollout(cfg, h, InterventionPlan(2, (1, 0, 1)), m=20, seed=0)
+        unit = data.subset([2])
+        out = conditional_rollout(cfg, unit, 2, InterventionPlan(2, (1, 0, 1)), m=20, seed=0)
         np.testing.assert_array_equal(out["a"], np.tile([1.0, 0.0, 1.0], (20, 1)))
         with pytest.raises(HorizonError):
-            conditional_rollout(cfg, h, always_treat(2, 5), m=5)
+            conditional_rollout(cfg, unit, 2, always_treat(2, 5), m=5)
+        with pytest.raises(ParameterError):
+            conditional_rollout(cfg, unit, 1, always_treat(2, 1), m=5)  # plan off the anchor
+        with pytest.raises(ParameterError):
+            conditional_rollout(cfg, data.subset([0, 1]), 2, always_treat(2, 1), m=5)
+        with pytest.raises(IndexError):
+            conditional_rollout(cfg, unit, cfg.T, "observational", m=5)
+
+    def test_presample_lags_are_zero_sentinels(self):
+        # At anchor 0 the lags X_{-1}, Y_{-1}, A_{-1} are zero, and a
+        # rollout from there covers the whole panel.
+        cfg = DgpConfig.make("mu", n_train=4)
+        data = simulate(cfg, seed=3)
+        st_ = State.from_dataset(data, 0)
+        np.testing.assert_array_equal(st_.x, data.x[:, 0, :])
+        assert st_.x_prev.shape == (4, cfg.d_x)
+        for lag in (st_.x_prev, st_.y_prev, st_.a_prev):
+            assert not lag.any()
+        with pytest.raises(IndexError):  # not the last column
+            State.from_dataset(data, -1)
+        out = conditional_rollout(cfg, data.subset([1]), 0, "observational", m=7, seed=0)
+        assert out["y"].shape == (7, cfg.T) and np.isfinite(out["y"]).all()
+        np.testing.assert_array_equal(out["x"][:, 0], np.repeat(data.x[1:2, 0], 7, axis=0))
+        m = 4000
+        planned = conditional_rollout(cfg, data.subset([1]), 0, always_treat(0, 1), m=m)
+        np.testing.assert_array_equal(planned["a"], 1.0)
+        # the mu family's outcome reads X_{t-1}, so Y_0 sees the zero sentinel
+        expect = outcome_mean(cfg, data.x[1:2, 0], np.zeros((1, cfg.d_x)), 1.0)[0]
+        assert abs(planned["y"][:, 0].mean() - expect) < 4.0 * cfg.sigma_y / math.sqrt(m)
 
 
 class TestClosedForms:
@@ -113,10 +141,18 @@ class TestClosedForms:
             t = cfg.T - 1 - tau
             pa, pb = always_treat(t, tau), never_treat(t, tau)
             for i in range(3):
-                h = HistoryView(data.trajectory(i), t)
-                mc, se = ground_truth_cate(cfg, h, pa, pb, m=40000, seed=i)
-                ex = exact_cate(cfg, State.from_history(h), pa, pb)
+                unit = data.subset([i])
+                mc, se = ground_truth_cate(cfg, unit, t, pa, pb, m=40000, seed=i)
+                ex = exact_cate(cfg, State.from_dataset(unit, t), pa, pb)
                 assert abs(mc - float(ex[0])) < 4.0 * se + 1e-4, (kind, tau, i)
+
+    def test_ground_truth_cate_checks_plans(self):
+        cfg = DgpConfig.make("gamma", n_train=2)
+        unit = simulate(cfg, seed=0).subset([0])
+        with pytest.raises(ParameterError):  # plans off the anchor
+            ground_truth_cate(cfg, unit, 2, always_treat(3, 1), never_treat(3, 1), m=10)
+        with pytest.raises(HorizonError):
+            ground_truth_cate(cfg, unit, 3, always_treat(3, 2), never_treat(3, 2), m=10)
 
     def test_test_set_truth_uses_exact_form(self):
         cfg = DgpConfig.make("gamma", n_train=8)
@@ -135,8 +171,7 @@ class TestClosedForms:
         pa, pb = always_treat(t, 1), never_treat(t, 1)
         truth = truth_for_test_set(cfg, data, t, pa, pb, m=20000, seed=0)
         for i in range(3):
-            mc, se = ground_truth_cate(cfg, HistoryView(data.trajectory(i), t), pa, pb,
-                                       m=40000, seed=i)
+            mc, se = ground_truth_cate(cfg, data.subset([i]), t, pa, pb, m=40000, seed=i)
             assert abs(truth[i] - mc) < 5.0 * se + 1e-3
 
 

@@ -57,13 +57,17 @@ class TestOracleBacked:
         assert floored.pi.min() >= 0.05
         np.testing.assert_allclose(floored.pi, np.clip(raw.pi, 0.05, 1.0))
 
-    def test_corruptions_shift_families(self):
-        cfg, data, t, plan = _setup(n=30)
-        oracle = oracle_nuisances(cfg, plan, m=500)
-        clean = OracleBackedNuisances(oracle).evaluate(data)
-        shifted = OracleBackedNuisances(oracle, corrupt_mu=0.5).evaluate(data)
-        np.testing.assert_allclose(shifted.mu, clean.mu + 0.5)
-        np.testing.assert_allclose(shifted.pi, clean.pi)
+    def test_floor_zero_keeps_pi_positive(self):
+        # A saturated propensity makes 1 - p1 exactly 0; at floor 0 the
+        # evaluation still clips pi at 1e-12, so 1 / pi stays finite.
+        cfg = DgpConfig.make("gamma", gamma=1e4, n_train=40)
+        data = simulate(cfg, seed=1)
+        t = cfg.eval_anchor
+        oracle = oracle_nuisances(cfg, never_treat(t, 1), m=500)
+        st_ = State.from_dataset(data, t)
+        assert (oracle.propensity(t, st_.x, st_.y_prev, st_.a_prev) == 0.0).any()
+        ev = OracleBackedNuisances(oracle).evaluate(data, floor=0.0)
+        assert ev.pi.min() == 1e-12
 
 
 class TestFittedNuisances:

@@ -214,6 +214,8 @@ def _inputs(x, *per_sample):
     cols = [np.asarray(c, dtype=float) for c in per_sample]
     if x.ndim != 2 or any(c.shape != (x.shape[0],) for c in cols):
         raise ParameterError("x must be (n, d) and per-sample arrays (n,)")
+    if not (np.isfinite(x).all() and all(np.isfinite(c).all() for c in cols)):
+        raise ParameterError("x and per-sample arrays must be finite")
     return (x, *cols)
 
 

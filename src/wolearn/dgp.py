@@ -15,9 +15,10 @@ Y_t = f_y(A_t, H_t) + eps_y. They differ in f_a and f_y:
 
 In every family the covariate process is autonomous (treatments never feed
 back into X) and Y_{t+tau} depends on the final treatment and the covariate
-state only, which admits closed-form effect curves for several families;
-the Monte Carlo oracles below stay generic and the closed forms serve as
-independent cross-checks and fast test-set truth.
+state only. So the mean outcome under a plan (`expected_outcome`) is a
+Gaussian integral per covariate dimension for every family, and it gives
+the exact test-set truth and the oracle responses; the Monte Carlo
+rollouts (`ground_truth_cate`, `response_mc`) are independent cross-checks.
 """
 
 from __future__ import annotations
@@ -253,52 +254,6 @@ def _ar_moments(x_t, delta: int, sigma_x: float):
     return mean, var
 
 
-def exact_cate(config: DgpConfig, state: State, plan_a: InterventionPlan, plan_b: InterventionPlan):
-    """Closed-form CATE for kinds with tractable effect curves, else None.
-
-    Exploits that X is autonomous and Y_{t+tau} reads only the final
-    treatment and the covariate state.
-    """
-    tau = plan_a.horizon
-    da = plan_a.values[-1] - plan_b.values[-1]
-    if config.kind in ("gamma", "pi"):
-        x = np.mean(state.x, axis=-1)
-        mean, var = _ar_moments(x, tau, config.sigma_x)
-        return 0.5 * _gauss_exp_moment(mean, var) * da
-    if config.kind == "mu" and tau == 1:
-        c = np.mean(np.cos(state.x) * np.cos(np.cos(state.x)), axis=-1)
-        return np.exp(0.25 * da * c) - np.exp(-0.25 * da * c) if da else np.zeros_like(c)
-    return None
-
-
-def test_set_truth(config: DgpConfig, data: Dataset, anchor: int, plan_a, plan_b, m=10000, seed=0):
-    """Ground-truth CATE per test trajectory at the anchor. Uses the closed
-    form where exact; falls back to vectorized Monte Carlo with common
-    random numbers otherwise."""
-    state = State.from_dataset(data, anchor)
-    exact = exact_cate(config, state, plan_a, plan_b)
-    if exact is not None:
-        return np.asarray(exact)
-    steps = plan_a.horizon + 1
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x717)))
-    out = np.empty(data.n)
-    chunk = max(1, int(2e6 // m))
-    for lo in range(0, data.n, chunk):
-        sub = State(
-            x=state.x[lo : lo + chunk],
-            x_prev=state.x_prev[lo : lo + chunk],
-            y_prev=state.y_prev[lo : lo + chunk],
-            a_prev=state.a_prev[lo : lo + chunk],
-        )
-        L = sub.y_prev.shape[0]
-        tiled = sub.tile(m)
-        noise = _draw_noise(config, (L * m,), steps, rng)
-        ya = rollout(config, tiled, steps, forced=list(plan_a.values), noise=noise)["y"][:, -1]
-        yb = rollout(config, tiled, steps, forced=list(plan_b.values), noise=noise)["y"][:, -1]
-        out[lo : lo + chunk] = (ya - yb).reshape(L, m).mean(axis=1)
-    return out
-
-
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(64)
 
 
@@ -308,13 +263,68 @@ def _gh_expect(fn, mean, sd):
     return (fn(z) * _GH_WEIGHTS).sum(axis=-1) / math.sqrt(math.pi)
 
 
+def expected_outcome(config: DgpConfig, x, x_prev, a, delta: int):
+    """E[Y_{j+delta} | X_j = x, X_{j-1} = x_prev] with A_{j+delta} = a, for
+    every kind and every delta >= 0; vectorized over the leading axes of x.
+
+    X is autonomous and independent across dimensions, and Y_{j+delta} reads
+    only A_{j+delta} and one covariate slice, so no earlier treatment
+    matters and each expectation is a Gaussian integral per dimension.
+    """
+    x = np.asarray(x, dtype=float)
+    d, sigma_x = x.shape[-1], config.sigma_x
+    if config.kind in ("gamma", "pi"):
+        mean, var = _ar_moments(np.mean(x, axis=-1), delta, sigma_x)
+        return 0.5 * _gauss_exp_moment(mean, var / d) * (a - 0.5)
+    if config.kind == "mu":
+        # f_y reads the slice before its own time: x_prev at delta 0
+        if delta <= 1:
+            return outcome_mean(config, None, x_prev if delta == 0 else x, a)
+        c = 0.5 * (a - 0.5) / d
+        mean, var = _ar_moments(x, delta - 1, sigma_x)
+        g = _gh_expect(lambda z: np.exp(c * np.cos(z) * np.cos(np.cos(z))), mean, math.sqrt(var))
+        return np.prod(g, axis=-1)
+    if config.kind == "n":
+        if delta == 0:
+            return outcome_mean(config, x, x_prev, a)
+        # exp(-S^2) = E[cos(2 S U)] for U ~ N(0, 1/2), and for fixed U the
+        # expectation of exp(2i U S), S = mean_p cos Z_p, factorises over p.
+        # The outer sum over U runs one node at a time to bound memory, and
+        # over the positive nodes only: the integrand is even in U and the
+        # nodes are symmetric.
+        mean, var = _ar_moments(x, delta, sigma_x)
+        half = len(_GH_NODES) // 2
+        moment = 0.0
+        for u, w in zip(_GH_NODES[half:], 2.0 * _GH_WEIGHTS[half:]):
+            phi = _gh_expect(lambda z: np.exp((2j * u / d) * np.cos(z)), mean, math.sqrt(var))
+            moment += w * np.prod(phi, axis=-1).real
+        return 0.5 * moment / math.sqrt(math.pi) * (a - 0.5)
+    raise ConfigError(f"unknown DGP kind {config.kind!r}")
+
+
+def exact_cate(config: DgpConfig, state: State, plan_a: InterventionPlan, plan_b: InterventionPlan):
+    """Closed-form CATE of plan_a over plan_b at each state: the difference
+    of the two plans' expected final outcomes."""
+    tau = plan_a.horizon
+    return (expected_outcome(config, state.x, state.x_prev, plan_a.values[-1], tau)
+            - expected_outcome(config, state.x, state.x_prev, plan_b.values[-1], tau))
+
+
+def test_set_truth(config: DgpConfig, data: Dataset, anchor: int, plan_a, plan_b, m=10000, seed=0):
+    """Ground-truth CATE per test trajectory at the anchor: `exact_cate` on
+    the anchor states. `m` and `seed` are unused; they remain so that
+    callers written for a Monte Carlo truth keep working."""
+    return exact_cate(config, State.from_dataset(data, anchor), plan_a, plan_b)
+
+
 class OracleNuisanceSet:
     """Ground-truth nuisance evaluators for one intervention plan.
 
-    Propensities are closed form; response and tail-weight evaluators are
-    Monte Carlo against the known generator, with closed forms and
-    Gauss-Hermite quadrature where the family admits them. All evaluators
-    are deterministic given (config, m, seed) and vectorized over states.
+    Propensities and responses are closed form for every family (responses
+    through `expected_outcome`); tail weights use Gauss-Hermite quadrature
+    where the family admits it and Monte Carlo against the known generator
+    otherwise, which is what `m` and `seed` set. All evaluators are
+    deterministic given (config, m, seed) and vectorized over states.
     """
 
     def __init__(self, config: DgpConfig, plan: InterventionPlan, m: int = 10000, seed: int = 0):
@@ -336,20 +346,9 @@ class OracleNuisanceSet:
         return p1 if self._plan_value(j) == 1 else 1.0 - p1
 
     def response_exact(self, j: int, x, x_prev=None):
-        """Closed-form mu_j^plan where the family admits one."""
-        cfg, delta = self.config, self.t + self.tau - j
-        a_last = self.plan.values[-1]
-        if cfg.kind in ("gamma", "pi"):
-            mean, var = _ar_moments(np.mean(x, axis=-1), delta, cfg.sigma_x)
-            return 0.5 * _gauss_exp_moment(mean, var) * (a_last - 0.5)
-        if cfg.kind == "mu" and delta == 0:
-            return outcome_mean(cfg, x, x_prev, float(a_last))
-        if cfg.kind == "mu" and delta == 1:
-            c = np.mean(np.cos(x) * np.cos(np.cos(x)), axis=-1)
-            return np.exp(0.5 * (a_last - 0.5) * c)
-        if cfg.kind == "n" and delta == 0:
-            return outcome_mean(cfg, x, x_prev, float(a_last))
-        raise NotImplementedError(f"no closed-form response for kind={cfg.kind}, delta={delta}")
+        """Closed-form mu_j^plan; `x_prev` matters only for kind mu at j = t + tau."""
+        return expected_outcome(self.config, x, x_prev, self.plan.values[-1],
+                                self.t + self.tau - j)
 
     def response_mc(self, j: int, state: State, m=None, seed_offset=0):
         """mu_j^plan by single-pass forced rollout; returns (mean, se)."""

@@ -27,7 +27,8 @@ import numpy as np
 from . import backbone
 from .core import (Dataset, InterventionPlan, ParameterError, always_treat, feature_matrix,
                    never_treat, split_dataset)
-from .nuisance import PROPENSITY_FLOOR, fit_nuisances, fit_propensity_models, _child_seed
+from .nuisance import (MIN_FIT_UNITS, PROPENSITY_FLOOR, fit_nuisances, fit_propensity_models,
+                       _child_seed)
 from .pseudo import PseudoConfig, cate_pseudo, gamma_plan, ipw_transform, risk_linear_term
 
 LEARNERS = ("wo", "dr", "ipw", "ra", "ha")
@@ -77,7 +78,9 @@ def prepare_cell(data, plan_a, plan_b, lam=0.5, hp=None, seed=0, window="full",
 
     Pass `nuisances = (eval_a, eval_b)` objects with an `.evaluate(data,
     floor)` method (e.g. oracle-backed) to skip fitting; the full dataset
-    then serves as the stage-2 split.
+    then serves as the stage-2 split. When fitting, a plan step that fewer
+    than MIN_FIT_UNITS nuisance-split units follow raises ParameterError:
+    the effect is not identified there.
     """
     if plan_a.start != plan_b.start or plan_a.horizon != plan_b.horizon:
         raise ParameterError("plans must share anchor and horizon")
@@ -87,6 +90,13 @@ def prepare_cell(data, plan_a, plan_b, lam=0.5, hp=None, seed=0, window="full",
         nuis_split, stage2 = split_dataset(data, lam, seed)
         if set(nuis_split.ids.tolist()) & set(stage2.ids.tolist()):
             raise ParameterError("nuisance and stage-2 splits must be disjoint")
+        for plan in (plan_a, plan_b):
+            for j, a_j in zip(range(plan.start, plan.end + 1), plan.values):
+                n_j = int(np.sum(nuis_split.a[:, j] == a_j))
+                if n_j < MIN_FIT_UNITS:
+                    raise ParameterError(
+                        f"only {n_j} nuisance-split units take treatment {a_j} at time {j}; "
+                        f"fitting the plan's responses needs {MIN_FIT_UNITS}")
         hp = hp or backbone.Hyperparameters()
         prop = fit_propensity_models(nuis_split, plan_a.start, plan_a.horizon,
                                      hp=hp, window=window, seed=seed)
@@ -188,8 +198,7 @@ def evaluate_rmse(model: CateModel, test_data: Dataset, truth: np.ndarray) -> fl
     return float(np.sqrt(np.mean((pred - truth) ** 2)))
 
 
-def build_cell(config, seed=0, lam=0.5, hp=None, window="full", m_truth=20000,
-               floor=PROPENSITY_FLOOR):
+def build_cell(config, seed=0, lam=0.5, hp=None, window="full", floor=PROPENSITY_FLOOR):
     """Everything of one cell before the learners: simulate the train and
     test panels, compute the test-set truth of always- over never-treat at
     the configuration's anchor, and prepare the cell on the train panel.
@@ -200,20 +209,18 @@ def build_cell(config, seed=0, lam=0.5, hp=None, window="full", m_truth=20000,
     plan_a, plan_b = always_treat(t, tau), never_treat(t, tau)
     train = dgp.simulate(config, seed=seed)
     test = dgp.simulate(config, seed=_child_seed(seed, 0x7E, 0), n=config.n_test)
-    truth = dgp.test_set_truth(config, test, t, plan_a, plan_b, m=m_truth,
-                               seed=_child_seed(seed, 0x7E, 1))
+    truth = dgp.test_set_truth(config, test, t, plan_a, plan_b)
     cell = prepare_cell(train, plan_a, plan_b, lam=lam, hp=hp, seed=seed, window=window,
                         floor=floor)
     return cell, test, truth
 
 
 def run_experiment(config, seed=0, learners=LEARNERS, lam=0.5, hp=None,
-                   pseudo_config=PseudoConfig(), window="full", m_truth=20000,
-                   floor=PROPENSITY_FLOOR):
+                   pseudo_config=PseudoConfig(), window="full", floor=PROPENSITY_FLOOR):
     """One full cell: build it, fit every learner, score against ground
     truth. Returns {learner: rmse} plus guard-rate info."""
     cell, test, truth = build_cell(config, seed=seed, lam=lam, hp=hp, window=window,
-                                   m_truth=m_truth, floor=floor)
+                                   floor=floor)
     result = {"seed": seed, "rmse": {}, "guard_rate": 0.0}
     for name in learners:
         model = train_learner(cell, name, hp=hp, pseudo_config=pseudo_config, seed=seed)

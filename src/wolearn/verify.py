@@ -84,8 +84,8 @@ def _completed_dataset(config, unit: Dataset, anchor: int, m: int, seed: int):
     return Dataset(x, a.astype(np.int64), y)
 
 
-def _oracle_pair(config, plan_a, plan_b, m=10000, seed=0):
-    return tuple(OracleBackedNuisances(dgp.oracle_nuisances(config, plan, m=m, seed=seed))
+def _oracle_pair(config, plan_a, plan_b, seed=0):
+    return tuple(OracleBackedNuisances(dgp.oracle_nuisances(config, plan, seed=seed))
                  for plan in (plan_a, plan_b))
 
 
@@ -211,7 +211,7 @@ def check_risk_equivalence(seed=0, n=200000, z_max=Z_RISK, config=None,
     po = cate_pseudo(ev_a, ev_b, data.y[:, t + tau])
 
     st = dgp.State.from_dataset(data, t)
-    truth = np.asarray(dgp.exact_cate(config, st, plan_a, plan_b))
+    truth = dgp.exact_cate(config, st, plan_a, plan_b)
     omega = ev_a.omega_t * ev_b.omega_t
     if candidates is None:
         candidates = _candidate_functions(truth, np.mean(st.x, axis=-1))
@@ -281,7 +281,7 @@ def check_orthogonality(seed=0, n=200000, scales=SCALE_GRID,
     steps = tau + 1
 
     st = dgp.State.from_dataset(data, t)
-    truth = np.asarray(dgp.exact_cate(config, st, plan_a, plan_b))
+    truth = dgp.exact_cate(config, st, plan_a, plan_b)
     g = truth + 0.3
     dg = np.tanh(np.mean(st.x, axis=-1) + 0.5)
 

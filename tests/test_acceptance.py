@@ -196,7 +196,7 @@ class TestCriterion9Engineering:
         d1, d2 = dgp.simulate(cfg, seed=11), dgp.simulate(cfg, seed=11)
         sim_ok = (np.array_equal(d1.x, d2.x) and np.array_equal(d1.a, d2.a)
                   and np.array_equal(d1.y, d2.y))
-        kw = dict(floor=FLOOR, window=1, pseudo_config=PSEUDO, m_truth=500)
+        kw = dict(floor=FLOOR, window=1, pseudo_config=PSEUDO)
         r1 = run_experiment(cfg, seed=0, learners=("wo", "ra"), **kw)
         r2 = run_experiment(cfg, seed=0, learners=("wo", "ra"), **kw)
         run_ok = r1 == r2

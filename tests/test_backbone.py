@@ -65,6 +65,10 @@ class TestRegressor:
             fit_regressor(np.zeros((5, 2)), np.zeros(4))
         with pytest.raises(ParameterError):
             fit_regressor(np.zeros((5, 2)), np.zeros(5), weights=np.zeros(5))
+        with pytest.raises(ParameterError, match="finite"):
+            fit_regressor(np.zeros((5, 2)), np.array([0.0, 1.0, np.nan, 0.0, 1.0]))
+        with pytest.raises(ParameterError, match="finite"):
+            fit_regressor(np.full((5, 2), np.inf), np.zeros(5))
 
 
 class TestClassifier:

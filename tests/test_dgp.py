@@ -135,8 +135,9 @@ class TestClosedForms:
         np.testing.assert_allclose(val, 0.31623, atol=5e-6)
 
     def test_exact_cate_agrees_with_monte_carlo(self):
-        for kind, tau in [("gamma", 1), ("gamma", 2), ("pi", 3), ("mu", 1)]:
-            cfg = DgpConfig.make(kind, n_train=5)
+        for kind, tau, d_x in [("gamma", 1, 1), ("gamma", 2, 1), ("gamma", 2, 3), ("pi", 3, 1),
+                               ("mu", 1, 5)]:
+            cfg = DgpConfig.make(kind, n_train=5, d_x=d_x)
             data = simulate(cfg, seed=5)
             t = cfg.T - 1 - tau
             pa, pb = always_treat(t, tau), never_treat(t, tau)
@@ -144,7 +145,7 @@ class TestClosedForms:
                 unit = data.subset([i])
                 mc, se = ground_truth_cate(cfg, unit, t, pa, pb, m=40000, seed=i)
                 ex = exact_cate(cfg, State.from_dataset(unit, t), pa, pb)
-                assert abs(mc - float(ex[0])) < 4.0 * se + 1e-4, (kind, tau, i)
+                assert abs(mc - float(ex[0])) < 4.0 * se + 1e-4, (kind, tau, d_x, i)
 
     def test_ground_truth_cate_checks_plans(self):
         cfg = DgpConfig.make("gamma", n_train=2)
@@ -162,17 +163,18 @@ class TestClosedForms:
         ex = exact_cate(cfg, State.from_dataset(data, t), always_treat(t, 1), never_treat(t, 1))
         np.testing.assert_allclose(truth, ex)
 
-    def test_test_set_truth_mc_fallback(self):
-        # The n family has no closed form; MC truth must agree with the
-        # per-history MC oracle.
-        cfg = DgpConfig.make("n", n_train=3)
-        data = simulate(cfg, seed=7)
-        t = cfg.eval_anchor
-        pa, pb = always_treat(t, 1), never_treat(t, 1)
-        truth = truth_for_test_set(cfg, data, t, pa, pb, m=20000, seed=0)
-        for i in range(3):
-            mc, se = ground_truth_cate(cfg, data.subset([i]), t, pa, pb, m=40000, seed=i)
-            assert abs(truth[i] - mc) < 5.0 * se + 1e-3
+    def test_test_set_truth_matches_monte_carlo(self):
+        # Kinds n and mu past tau = 1 integrate over the covariate path by
+        # quadrature; the per-history Monte Carlo oracle must agree.
+        for kind, tau in [("n", 1), ("n", 3), ("mu", 3)]:
+            cfg = DgpConfig.make(kind, n_train=3, tau=tau)
+            data = simulate(cfg, seed=7)
+            t = cfg.eval_anchor
+            pa, pb = always_treat(t, tau), never_treat(t, tau)
+            truth = truth_for_test_set(cfg, data, t, pa, pb)
+            for i in range(3):
+                mc, se = ground_truth_cate(cfg, data.subset([i]), t, pa, pb, m=40000, seed=i)
+                assert abs(truth[i] - mc) < 4.0 * se, (kind, tau, i)
 
 
 class TestOracleNuisances:
@@ -193,7 +195,7 @@ class TestOracleNuisances:
         np.testing.assert_allclose(never.propensity(t, st_.x, st_.y_prev, st_.a_prev), 1.0 - expect)
 
     def test_response_exact_vs_mc(self):
-        for kind, tau in [("gamma", 1), ("pi", 2), ("mu", 1)]:
+        for kind, tau in [("gamma", 1), ("pi", 2), ("mu", 1), ("n", 2), ("mu", 3)]:
             cfg, data, t, oracle = self._setup(kind, tau)
             st_ = State.from_dataset(data, t)
             mc, se = oracle.response_mc(t, st_, m=20000)

@@ -3,7 +3,7 @@ import pytest
 
 from wolearn import dgp
 from wolearn.backbone import Hyperparameters
-from wolearn.core import ParameterError, always_treat, never_treat
+from wolearn.core import Dataset, ParameterError, always_treat, never_treat
 from wolearn.dgp import DgpConfig, oracle_nuisances, simulate
 from wolearn.learners import (
     LEARNERS,
@@ -55,6 +55,16 @@ class TestPrepareCell:
             prepare_cell(data, always_treat(2, 1), never_treat(1, 1))
         with pytest.raises(ParameterError):
             prepare_cell(data, always_treat(2, 1), never_treat(2, 2))
+
+    def test_unsupported_arm_rejected(self):
+        # With A == 1 nobody follows never-treat: the contrast is not
+        # identified, so preparing the cell must fail, not warn.
+        cfg = DgpConfig.make("gamma", n_train=600)
+        data = simulate(cfg, seed=0)
+        treated = Dataset(data.x, np.ones_like(data.a), data.y)
+        t = cfg.eval_anchor
+        with pytest.raises(ParameterError, match="nuisance-split units"):
+            prepare_cell(treated, always_treat(t, cfg.tau), never_treat(t, cfg.tau), hp=FAST)
 
     def test_overlapping_splits_rejected(self, monkeypatch):
         # Raised, not asserted, so the check survives python -O.
@@ -176,10 +186,8 @@ class TestRiskProperties:
 class TestRunExperiment:
     def test_returns_rmse_per_learner_and_is_deterministic(self):
         cfg = DgpConfig.make("gamma", n_train=300, n_test=50)
-        r1 = run_experiment(cfg, seed=0, learners=("wo", "ra"), hp=FAST,
-                            window=1, m_truth=200)
-        r2 = run_experiment(cfg, seed=0, learners=("wo", "ra"), hp=FAST,
-                            window=1, m_truth=200)
+        r1 = run_experiment(cfg, seed=0, learners=("wo", "ra"), hp=FAST, window=1)
+        r2 = run_experiment(cfg, seed=0, learners=("wo", "ra"), hp=FAST, window=1)
         assert set(r1["rmse"]) == {"wo", "ra"}
         assert r1 == r2
         assert all(np.isfinite(v) for v in r1["rmse"].values())

@@ -52,8 +52,8 @@ def never_treat(start: int, tau: int) -> InterventionPlan:
 class Dataset:
     """A panel of trajectories sharing T and d_x, stored stacked for speed.
 
-    x: (n, T, d_x), a: (n, T), y: (n, T), ids: (n,). NaN in x or y and
-    treatments outside {0, 1} raise ParameterError.
+    x: (n, T, d_x), a: (n, T), y: (n, T), ids: (n,). NaN or +-inf in x or y
+    and treatments outside {0, 1} raise ParameterError.
     """
 
     def __init__(self, x, a, y, ids=None, meta=None):
@@ -64,8 +64,8 @@ class Dataset:
             raise ParameterError("x must be (n, T, d_x); a, y must be (n, T)")
         if not ((a == 0) | (a == 1)).all():
             raise ParameterError("treatments must be binary")
-        if np.isnan(self.x).any() or np.isnan(self.y).any():
-            raise ParameterError("missing entries are not supported")
+        if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
+            raise ParameterError("missing or infinite entries are not supported")
         self.a = np.asarray(a, dtype=np.int64)
         self.ids = np.arange(len(self.y)) if ids is None else np.asarray(ids, dtype=np.int64)
         self.meta = dict(meta or {})

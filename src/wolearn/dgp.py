@@ -320,11 +320,15 @@ def test_set_truth(config: DgpConfig, data: Dataset, anchor: int, plan_a, plan_b
 class OracleNuisanceSet:
     """Ground-truth nuisance evaluators for one intervention plan.
 
-    Propensities and responses are closed form for every family (responses
-    through `expected_outcome`); tail weights use Gauss-Hermite quadrature
-    where the family admits it and Monte Carlo against the known generator
-    otherwise, which is what `m` and `seed` set. All evaluators are
-    deterministic given (config, m, seed) and vectorized over states.
+    Every method takes the time index j and a `State` (the histories at j,
+    vectorized over its leading axis), as `OracleBackedNuisances` builds it
+    with `State.from_dataset`. Propensities and responses are closed form
+    for every family (responses through `expected_outcome`); tail weights
+    use Gauss-Hermite quadrature where the family admits it and Monte Carlo
+    against the known generator otherwise, with `m` draws per state and
+    randomness seeded by `seed`. `response_mc` and `response_nested_mc` are
+    Monte Carlo cross-checks of the closed form. All evaluators are
+    deterministic given (config, m, seed).
     """
 
     def __init__(self, config: DgpConfig, plan: InterventionPlan, m: int = 10000, seed: int = 0):
@@ -340,60 +344,59 @@ class OracleNuisanceSet:
             raise ParameterError(f"time index {j} outside plan range")
         return self.plan.values[j - self.t]
 
-    def propensity(self, j: int, x, y_prev, a_prev):
+    def _rollout(self, state: State, steps: int, entropy: tuple, forced=None):
+        """`rollout` of m copies of every state, seeded by `entropy`."""
+        rng = np.random.default_rng(np.random.SeedSequence(entropy))
+        return rollout(self.config, state.tile(self.m), steps, rng=rng, forced=forced)
+
+    def _per_state(self, draws):
+        """Mean and standard error over each state's m consecutive draws."""
+        draws = draws.reshape(-1, self.m)
+        return draws.mean(axis=1), draws.std(axis=1, ddof=1) / math.sqrt(self.m)
+
+    def propensity(self, j: int, state: State):
         """pi_j^plan: probability of the plan's treatment at time j."""
-        p1 = sigmoid(propensity_logit(self.config, x, y_prev, a_prev))
+        p1 = sigmoid(propensity_logit(self.config, state.x, state.y_prev, state.a_prev))
         return p1 if self._plan_value(j) == 1 else 1.0 - p1
 
-    def response_exact(self, j: int, x, x_prev=None):
-        """Closed-form mu_j^plan; `x_prev` matters only for kind mu at j = t + tau."""
-        return expected_outcome(self.config, x, x_prev, self.plan.values[-1],
+    def response_exact(self, j: int, state: State):
+        """Closed-form mu_j^plan."""
+        return expected_outcome(self.config, state.x, state.x_prev, self.plan.values[-1],
                                 self.t + self.tau - j)
 
-    def response_mc(self, j: int, state: State, m=None, seed_offset=0):
+    def response_mc(self, j: int, state: State):
         """mu_j^plan by single-pass forced rollout; returns (mean, se)."""
-        m = self.m if m is None else m
         steps = self.t + self.tau - j + 1
-        rng = np.random.default_rng(np.random.SeedSequence((self.seed, 0xE5, seed_offset)))
-        L = state.y_prev.shape[0]
         forced = list(self.plan.values[j - self.t :])
-        yf = rollout(self.config, state.tile(m), steps, rng=rng, forced=forced)["y"][:, -1]
-        yf = yf.reshape(L, m)
-        return yf.mean(axis=1), yf.std(axis=1, ddof=1) / math.sqrt(m)
+        out = self._rollout(state, steps, (self.seed, 0xE5, 0), forced=forced)
+        return self._per_state(out["y"][:, -1])
 
-    def response_nested_mc(self, state: State, m=None, seed_offset=1):
+    def response_nested_mc(self, state: State):
         """mu_t^plan by the two-stage route: one forced step, then the exact
         next-stage response; cross-check for response_mc (tau = 1 only)."""
         if self.tau != 1:
             raise NotImplementedError("nested oracle implemented for tau = 1")
-        m = self.m if m is None else m
-        rng = np.random.default_rng(np.random.SeedSequence((self.seed, 0xE6, seed_offset)))
-        L = state.y_prev.shape[0]
-        one = rollout(self.config, state.tile(m), 2, rng=rng, forced=[self.plan.values[0], None])
-        mu_next = self.response_exact(self.t + 1, one["x"][:, 1], x_prev=one["x"][:, 0])
-        mu_next = mu_next.reshape(L, m)
-        return mu_next.mean(axis=1), mu_next.std(axis=1, ddof=1) / math.sqrt(m)
+        one = self._rollout(state, 2, (self.seed, 0xE6, 1), forced=[self.plan.values[0], None])
+        nxt = State(x=one["x"][:, 1], x_prev=one["x"][:, 0], y_prev=one["y"][:, 0],
+                    a_prev=one["a"][:, 0])
+        return self._per_state(self.response_exact(self.t + 1, nxt))
 
-    def tail_weight(self, j: int, x, y_prev, a_prev, m=None, seed_offset=2, x_prev=None):
-        """E[prod_{k=j+1}^{t+tau} pi_k^plan | H_j] evaluated at states.
-        `x_prev` matters only for families whose outcome reads the lagged
-        covariate (it feeds the first simulated outcome)."""
+    def tail_weight(self, j: int, state: State):
+        """E[prod_{k=j+1}^{t+tau} pi_k^plan | H_j] evaluated at states."""
         cfg, delta = self.config, self.t + self.tau - j
-        x = np.asarray(x, dtype=float)
         if delta == 0:
-            return np.ones(x.shape[:-1])
+            return np.ones(len(state.y_prev))
         if delta == 1 and cfg.kind in ("gamma", "pi") and cfg.d_x == 1:
-            return self._tail_weight_quadrature(j, x, y_prev, a_prev)
-        return self._tail_weight_mc(j, x, y_prev, a_prev, m=m, seed_offset=seed_offset,
-                                    x_prev=x_prev)
+            return self._tail_weight_quadrature(j, state)
+        return self._tail_weight_mc(j, state)
 
-    def _tail_weight_quadrature(self, j, x, y_prev, a_prev):
+    def _tail_weight_quadrature(self, j: int, state: State):
         # One remaining step: integrate pi_{j+1} over (A_j, eps_y, eps_x).
         # The propensity argument is linear in 0.5 eps_x + 0.5 eps_y, a single
         # Gaussian, so 1-d Gauss-Hermite is effectively exact.
-        cfg = self.config
+        cfg, x = self.config, state.x
         xs = np.mean(x, axis=-1)
-        p1 = sigmoid(propensity_logit(cfg, x, y_prev, a_prev))
+        p1 = sigmoid(propensity_logit(cfg, x, state.y_prev, state.a_prev))
         a_next = self._plan_value(j + 1)
         sd = 0.5 * math.sqrt(cfg.sigma_x**2 + cfg.sigma_y**2)
         total = np.zeros_like(xs)
@@ -409,31 +412,13 @@ class OracleNuisanceSet:
             total += w * pnext
         return total
 
-    def _tail_weight_mc(self, j, x, y_prev, a_prev, m=None, seed_offset=2, x_prev=None):
-        cfg, m = self.config, self.m if m is None else m
-        rng = np.random.default_rng(np.random.SeedSequence((self.seed, 0xE7, seed_offset)))
-        lead = x.shape[:-1]
-        if x_prev is None:
-            x_prev = np.zeros((np.prod(lead, dtype=int), cfg.d_x))
-        state = State(
-            x=x.reshape(-1, cfg.d_x),
-            x_prev=np.asarray(x_prev, dtype=float).reshape(-1, cfg.d_x),
-            y_prev=np.asarray(y_prev, dtype=float).reshape(-1),
-            a_prev=np.asarray(a_prev, dtype=float).reshape(-1),
-        )
+    def _tail_weight_mc(self, j: int, state: State):
         steps = self.t + self.tau - j + 1
-        out = rollout(cfg, state.tile(m), steps, rng=rng)
-        prod = np.ones(state.y_prev.shape[0] * m)
+        out = self._rollout(state, steps, (self.seed, 0xE7, 2))
+        prod = np.ones(len(out["p1"]))
         for s in range(1, steps):
-            a_k = self._plan_value(j + s)
-            pk = out["p1"][:, s] if a_k == 1 else 1.0 - out["p1"][:, s]
-            prod *= pk
-        return prod.reshape(*lead, m).mean(axis=-1)
-
-    def omega(self, j: int, x, y_prev, a_prev, m=None, x_prev=None):
-        """omega_j^plan(H_j) = pi_j * E[tail product | H_j]."""
-        return self.propensity(j, x, y_prev, a_prev) * self.tail_weight(
-            j, x, y_prev, a_prev, m=m, x_prev=x_prev)
+            prod *= out["p1"][:, s] if self._plan_value(j + s) == 1 else 1.0 - out["p1"][:, s]
+        return prod.reshape(-1, self.m).mean(axis=-1)
 
 
 def oracle_nuisances(config: DgpConfig, plan: InterventionPlan, m: int = 10000, seed: int = 0):

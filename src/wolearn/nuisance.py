@@ -226,12 +226,14 @@ def fit_nuisances(data: Dataset, plan: InterventionPlan, hp=None, window="full",
 class OracleBackedNuisances:
     """Ground-truth nuisances exposed through the FittedNuisances interface;
     for diagnostics that must separate estimator error from nuisance error.
-    Tail weights are not clamped. To probe sensitivity, shift a copy of an
-    evaluation (`dataclasses.replace(ev, mu=ev.mu + d)`) and floor it again.
+    `evaluate` turns each step's histories into a `dgp.State` and asks the
+    oracle (a `dgp.OracleNuisanceSet`) for its values there. Tail weights
+    are not clamped. To probe sensitivity, shift a copy of an evaluation
+    (`dataclasses.replace(ev, mu=ev.mu + d)`) and floor it again.
     """
 
     def __init__(self, oracle):
-        self.oracle = oracle  # dgp.OracleNuisanceSet
+        self.oracle = oracle
         self.plan = oracle.plan
 
     def evaluate(self, data: Dataset, floor: float = 0.0) -> NuisanceEvaluation:
@@ -239,13 +241,11 @@ class OracleBackedNuisances:
         at least 1e-12 because 1 - p1 can be exactly 0."""
         from .dgp import State  # local import to keep module layering one-way
 
+        oracle = self.oracle
+
         def step(k, j):
             st = State.from_dataset(data, j)
-            pi = self.oracle.propensity(j, st.x, st.y_prev, st.a_prev)
-            mu = self.oracle.response_exact(j, st.x, x_prev=st.x_prev)
-            w = None
-            if j < self.plan.end:
-                w = self.oracle.tail_weight(j, st.x, st.y_prev, st.a_prev, x_prev=st.x_prev)
-            return pi, mu, w
+            w = oracle.tail_weight(j, st) if j < self.plan.end else None
+            return oracle.propensity(j, st), oracle.response_exact(j, st), w
 
         return NuisanceEvaluation.from_steps(self.plan, data, step).floored(max(floor, 1e-12))

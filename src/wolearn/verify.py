@@ -7,7 +7,9 @@ error:
 
   conditional means   E[gamma | H] = mu and E[rho | H] = omega, for single
                       plans and for contrasts, tested per history by Monte
-                      Carlo over conditional observational rollouts;
+                      Carlo over conditional observational rollouts; the
+                      targets are the anchor column of the clean oracle
+                      evaluations, which every completed row shares;
   risk equivalence    pairwise differences of the empirical weighted risk
                       match the population overlap-weighted excess risk,
                       and both rank a menu of candidate effect functions
@@ -19,8 +21,13 @@ error:
   tau = 0 reduction   with a single-step plan and complementary arms the
                       machinery reduces to the residual-on-residual
                       (R-learner) objective, with convention-dependent
-                      pointwise or conditional-mean identities.
+                      pointwise or conditional-mean identities; the
+                      conditional mean E[rho | H] = pi (1 - pi) runs
+                      through the same per-history harness as above.
 
+The gates are the module constants below (Z_CONDITIONAL,
+MIN_PASS_CONDITIONAL, Z_RISK, SLOPE_ORTHOGONAL, SLOPE_FIRST_ORDER,
+SCALE_GRID, TOL_POINTWISE), not arguments, so no caller can loosen them.
 A response that never clears the Monte Carlo noise floor is reported as
 "inconclusive" rather than pass/fail on the slope; for the orthogonal
 learner this is the expected outcome in families the identity cancels
@@ -36,16 +43,18 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import dgp
-from .core import Dataset, always_treat, never_treat
+from .core import Dataset, ParameterError, always_treat, never_treat
 from .nuisance import OracleBackedNuisances
 from .pseudo import (PseudoConfig, cate_pseudo, gamma_plan, ipw_transform,
                      rho_plan, risk_linear_term)
 
 Z_CONDITIONAL = 4.0
+MIN_PASS_CONDITIONAL = 0.95
 Z_RISK = 3.0
 SLOPE_ORTHOGONAL = 1.8
 SLOPE_FIRST_ORDER = 1.2
 SCALE_GRID = (0.2, 0.1, 0.05, 0.02, 0.01)
+TOL_POINTWISE = 1e-10
 
 
 @dataclass
@@ -89,21 +98,14 @@ def _oracle_pair(config, plan_a, plan_b, seed=0):
                  for plan in (plan_a, plan_b))
 
 
-def _history_targets(na, nb, unit: Dataset, t):
-    """Oracle (mu_a, mu_b, omega_a, omega_b) at the one history in `unit`."""
-    st = dgp.State.from_dataset(unit, t)
-    mu_a = float(na.oracle.response_exact(t, st.x, x_prev=st.x_prev)[0])
-    mu_b = float(nb.oracle.response_exact(t, st.x, x_prev=st.x_prev)[0])
-    om_a = float(na.oracle.omega(t, st.x, st.y_prev, st.a_prev, x_prev=st.x_prev)[0])
-    om_b = float(nb.oracle.omega(t, st.x, st.y_prev, st.a_prev, x_prev=st.x_prev)[0])
-    return mu_a, mu_b, om_a, om_b
-
-
-def _conditional_mean_check(name, stat_fn, seed, n_histories, m, z_max, min_pass, config,
+def _conditional_mean_check(name, stat_fn, seed, n_histories, m, min_pass, config,
                             corrupt_mu=None):
     """Shared harness: per sampled history, compare Monte Carlo means of
     pseudo-outcome statistics to their oracle targets. `stat_fn` maps
-    (ev_a, ev_b, y_final, targets) to {label: (values, target)}."""
+    (ev_a, ev_b, y_final, targets) to {label: (values, target)}, where
+    targets = (mu_a, mu_b, omega_a, omega_b) at the history. Every row of a
+    completed panel shares the history at the anchor, so the targets are the
+    anchor column of the clean evaluations."""
     config = config or dgp.DgpConfig.make("gamma", gamma=2.0)
     t, tau = config.eval_anchor, config.tau
     plan_a, plan_b = always_treat(t, tau), never_treat(t, tau)
@@ -114,20 +116,20 @@ def _conditional_mean_check(name, stat_fn, seed, n_histories, m, z_max, min_pass
     n_ok = 0
     rows = []
     for i in range(n_histories):
-        unit = data.subset([i])
-        comp = _completed_dataset(config, unit, t, m, seed=seed * 1000 + i)
+        comp = _completed_dataset(config, data.subset([i]), t, m, seed=seed * 1000 + i)
         ev_a = na.evaluate(comp, floor=0.0)
         ev_b = nb.evaluate(comp, floor=0.0)
+        targets = tuple(float(v) for v in (ev_a.mu[0, 0], ev_b.mu[0, 0],
+                                           ev_a.omega_t[0], ev_b.omega_t[0]))
         if corrupt_mu is not None:
             # the double-robustness probe: shifted copies of the responses
             # enter the pseudo-outcomes, the targets stay clean
             ev_a, ev_b = (replace(ev, mu=ev.mu + corrupt_mu) for ev in (ev_a, ev_b))
-        targets = _history_targets(na, nb, unit, t)
         zs = {label: _z(values, target)
               for label, (values, target) in stat_fn(ev_a, ev_b, comp.y[:, t + tau], targets).items()}
         z_hist = max(abs(v) for v in zs.values())
         worst = max(worst, z_hist)
-        ok = z_hist <= z_max
+        ok = z_hist <= Z_CONDITIONAL
         n_ok += ok
         rows.append({"unit": i, "max_abs_z": z_hist, "z": zs, "ok": bool(ok)})
 
@@ -135,13 +137,13 @@ def _conditional_mean_check(name, stat_fn, seed, n_histories, m, z_max, min_pass
     return DiagnosticReport(
         name,
         frac >= min_pass,
-        f"{n_ok}/{n_histories} histories within {z_max} SE (worst |z| = {worst:.2f})",
+        f"{n_ok}/{n_histories} histories within {Z_CONDITIONAL} SE (worst |z| = {worst:.2f})",
         {"fraction": frac, "worst_abs_z": worst, "histories": rows},
     )
 
 
-def check_conditional_mean_gamma(seed=0, n_histories=50, m=20000, z_max=Z_CONDITIONAL,
-                                 min_pass=0.95, config=None, corrupt_mu=None) -> DiagnosticReport:
+def check_conditional_mean_gamma(seed=0, n_histories=50, m=20000, config=None,
+                                 corrupt_mu=None) -> DiagnosticReport:
     """E[gamma | H] = mu per history, for one plan and for the contrast.
 
     With `corrupt_mu` the responses entering gamma are shifted while the
@@ -156,11 +158,10 @@ def check_conditional_mean_gamma(seed=0, n_histories=50, m=20000, z_max=Z_CONDIT
         }
 
     return _conditional_mean_check("conditional_mean_gamma", stats, seed, n_histories, m,
-                                   z_max, min_pass, config, corrupt_mu=corrupt_mu)
+                                   MIN_PASS_CONDITIONAL, config, corrupt_mu=corrupt_mu)
 
 
-def check_conditional_mean_rho(seed=0, n_histories=50, m=20000, z_max=Z_CONDITIONAL,
-                               min_pass=0.95, config=None) -> DiagnosticReport:
+def check_conditional_mean_rho(seed=0, n_histories=50, m=20000, config=None) -> DiagnosticReport:
     """E[rho | H] = omega per history (single plan and contrast), plus the
     induced identity E[rho xi | H] = omega^{ab} * effect via the guard-free
     product form."""
@@ -176,7 +177,7 @@ def check_conditional_mean_rho(seed=0, n_histories=50, m=20000, z_max=Z_CONDITIO
         }
 
     return _conditional_mean_check("conditional_mean_rho", stats, seed, n_histories, m,
-                                   z_max, min_pass, config)
+                                   MIN_PASS_CONDITIONAL, config)
 
 
 def _candidate_functions(truth, x):
@@ -192,8 +193,7 @@ def _candidate_functions(truth, x):
     }
 
 
-def check_risk_equivalence(seed=0, n=200000, z_max=Z_RISK, config=None,
-                           candidates=None) -> DiagnosticReport:
+def check_risk_equivalence(seed=0, n=200000, config=None, candidates=None) -> DiagnosticReport:
     """Pairwise empirical-risk differences vs population overlap-weighted
     excess-risk differences, plus agreement of the risk ranking.
 
@@ -236,7 +236,7 @@ def check_risk_equivalence(seed=0, n=200000, z_max=Z_RISK, config=None,
             diff = (emp(gi) - emp(gj)) - (pop(gi) - pop(gj))
             z = abs(_z(diff / mean_omega, 0.0))
             worst = max(worst, z)
-            ok = z <= z_max
+            ok = z <= Z_RISK
             all_within = all_within and ok
             pairs.append({"pair": (names[i], names[j]), "z": z, "ok": bool(ok)})
 
@@ -257,9 +257,7 @@ def _loglog_slope(scales, errs):
     return float(np.polyfit(x, y, 1)[0])
 
 
-def check_orthogonality(seed=0, n=200000, scales=SCALE_GRID,
-                        slope_min=SLOPE_ORTHOGONAL, slope_max=SLOPE_FIRST_ORDER,
-                        config=None) -> DiagnosticReport:
+def check_orthogonality(seed=0, n=200000, config=None) -> DiagnosticReport:
     """Pathwise-derivative response of each objective to nuisance
     perturbations of size r, on common random numbers.
 
@@ -267,12 +265,12 @@ def check_orthogonality(seed=0, n=200000, scales=SCALE_GRID,
     direction dg: phi(r) = -2 E[rho (xi - g) dg] for the weighted objective
     (computed in the guard-free product form), and the plug-in analogues
     for the response and inverse-propensity objectives. The weighted
-    objective must respond at second order (log-log slope >= slope_min) or
-    not detectably at all ("inconclusive": the response never clears three
-    Monte Carlo standard errors, the expected outcome in families the
-    identity cancels exactly); the plug-in response to mu-perturbations and
-    the inverse-propensity response to pi-perturbations must be first order
-    (slope <= slope_max)."""
+    objective must respond at second order (log-log slope >=
+    SLOPE_ORTHOGONAL) or not detectably at all ("inconclusive": the
+    response never clears three Monte Carlo standard errors, the expected
+    outcome in families the identity cancels exactly); the plug-in response
+    to mu-perturbations and the inverse-propensity response to
+    pi-perturbations must be first order (slope <= SLOPE_FIRST_ORDER)."""
     config = config or dgp.DgpConfig.make("gamma", gamma=1.0)
     t, tau = config.eval_anchor, config.tau
     plan_a, plan_b = always_treat(t, tau), never_treat(t, tau)
@@ -329,7 +327,7 @@ def check_orthogonality(seed=0, n=200000, scales=SCALE_GRID,
     results = {}
     for family, learner_names in families.items():
         per = {name: [] for name in learner_names}
-        for r in scales:
+        for r in SCALE_GRID:
             d = derivatives(family, r)
             for name in learner_names:
                 diff = d[name] - base[name]
@@ -346,7 +344,7 @@ def check_orthogonality(seed=0, n=200000, scales=SCALE_GRID,
             else:
                 slope = _loglog_slope([row["scale"] for row in usable],
                                       [row["err"] for row in usable])
-                ok = slope >= slope_min if name == "wo" else slope <= slope_max
+                ok = slope >= SLOPE_ORTHOGONAL if name == "wo" else slope <= SLOPE_FIRST_ORDER
                 results[(family, name)] = {"status": "slope", "slope": slope,
                                            "rows": rows, "ok": bool(ok)}
 
@@ -361,8 +359,8 @@ def check_orthogonality(seed=0, n=200000, scales=SCALE_GRID,
     )
 
 
-def check_r_learner_reduction(seed=0, n=4000, m=100000, n_histories=10, tol=1e-10,
-                              z_max=Z_CONDITIONAL, config=None) -> DiagnosticReport:
+def check_r_learner_reduction(seed=0, n=4000, m=100000, n_histories=10,
+                              config=None) -> DiagnosticReport:
     """Single-step (tau = 0) reduction for complementary arms.
 
     Verifies (i) omega^{ab} = pi (1 - pi) pointwise; (ii) rho^{ab} =
@@ -373,6 +371,8 @@ def check_r_learner_reduction(seed=0, n=4000, m=100000, n_histories=10, tol=1e-1
     exactly with the residual-on-residual loss for every candidate
     function."""
     config = config or dgp.DgpConfig.make("gamma", tau=0)
+    if config.tau != 0:
+        raise ParameterError("the R-learner reduction needs a tau = 0 configuration")
     t = config.eval_anchor
     plan_a, plan_b = always_treat(t, 0), never_treat(t, 0)
     data = dgp.simulate(config, seed=seed, n=n)
@@ -404,25 +404,24 @@ def check_r_learner_reduction(seed=0, n=4000, m=100000, n_histories=10, tol=1e-1
         wo_loss = po.rho * (po.xi - g) ** 2
         r_loss = (resid_y - resid_a * g) ** 2
         worst_exact = max(worst_exact, float(np.max(np.abs(wo_loss - r_loss))) / scale)
-    pointwise_ok = (max(err_omega, err_rho_c, err_xi_c) <= tol
-                    and worst_exact <= tol and not po.guard_flag.any())
+    pointwise_ok = (max(err_omega, err_rho_c, err_xi_c) <= TOL_POINTWISE
+                    and worst_exact <= TOL_POINTWISE and not po.guard_flag.any())
 
-    # empty-product-one convention: E[rho | H] = pi (1 - pi) per history
-    rng_units = np.random.default_rng(np.random.SeedSequence((seed, 0x5C)))
-    units = rng_units.choice(n, size=n_histories, replace=False)
-    worst_z = 0.0
-    for i, u in enumerate(units):
-        comp = _completed_dataset(config, data.subset([int(u)]), t, m, seed=seed * 100 + i)
-        c_po = cate_pseudo(na.evaluate(comp, floor=0.0), nb.evaluate(comp, floor=0.0),
-                           comp.y[:, t])
-        worst_z = max(worst_z, abs(_z(c_po.rho, float(e[u] * (1.0 - e[u])))))
-    mean_ok = worst_z <= z_max
+    # empty-product-one convention: E[rho | H] = omega^{ab} = pi (1 - pi)
+    # per history; every history must pass
+    def stats(ev_a, ev_b, y_final, targets):
+        _, _, om_a, om_b = targets
+        return {"rho_cate": (cate_pseudo(ev_a, ev_b, y_final).rho, om_a * om_b)}
+
+    mean_rep = _conditional_mean_check("r_learner_rho_mean", stats, seed, n_histories, m, 1.0,
+                                       config)
+    worst_z = mean_rep.detail["worst_abs_z"]
 
     return DiagnosticReport(
         "r_learner_reduction",
-        pointwise_ok and mean_ok,
+        pointwise_ok and mean_rep.passed,
         f"pointwise max err {max(err_omega, err_rho_c, err_xi_c, worst_exact):.2e} "
-        f"(tol {tol}); E[rho|H] worst |z| = {worst_z:.2f} over {n_histories} histories",
+        f"(tol {TOL_POINTWISE}); E[rho|H] worst |z| = {worst_z:.2f} over {n_histories} histories",
         {"err_omega": err_omega, "err_rho_collapse": err_rho_c, "err_xi_collapse": err_xi_c,
          "exact_loss_max_rel_err": worst_exact, "rho_mean_worst_z": worst_z},
     )

@@ -99,12 +99,14 @@ class TestDataset:
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 6), T=st.integers(1, 4), d_x=st.integers(1, 3),
-           entry=st.sampled_from([("x", np.nan), ("y", np.nan), ("a", np.nan), ("a", 2),
+           entry=st.sampled_from([("x", np.nan), ("y", np.nan), ("x", np.inf), ("x", -np.inf),
+                                  ("y", np.inf), ("y", -np.inf), ("a", np.nan), ("a", 2),
                                   ("a", 0.5), ("a", -1)]),
            seed=st.integers(0, 50))
     def test_bad_entries_rejected(self, n, T, d_x, entry, seed):
-        # One bad entry anywhere: NaN covariates or outcomes, or a treatment
-        # outside {0, 1} (0.5 must not be truncated to 0 by the int cast).
+        # One bad entry anywhere: NaN or +-inf covariates or outcomes, or a
+        # treatment outside {0, 1} (0.5 must not be truncated to 0 by the int
+        # cast).
         field, bad = entry
         arrays = {"x": np.zeros((n, T, d_x)), "a": np.zeros((n, T)), "y": np.zeros((n, T))}
         Dataset(**arrays)  # the clean panel is accepted
@@ -122,6 +124,13 @@ class TestDataset:
         row["a"][0] = 2
         path.write_text("\n".join([lines[0], json.dumps(row), *lines[2:]]) + "\n")
         with pytest.raises(ParameterError, match="binary"):
+            Dataset.from_jsonl(path)
+        # json reads the token Infinity as a float; the panel must refuse it
+        row = json.loads(lines[1])
+        row["y"][1] = float("inf")
+        path.write_text("\n".join([lines[0], json.dumps(row), *lines[2:]]) + "\n")
+        assert "Infinity" in path.read_text()
+        with pytest.raises(ParameterError, match="infinite"):
             Dataset.from_jsonl(path)
 
 

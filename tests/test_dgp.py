@@ -23,6 +23,7 @@ from wolearn.dgp import (
     simulate,
 )
 from wolearn.dgp import test_set_truth as truth_for_test_set
+from wolearn.nuisance import OracleBackedNuisances
 
 
 class TestConfig:
@@ -178,56 +179,53 @@ class TestClosedForms:
 
 
 class TestOracleNuisances:
-    def _setup(self, kind="gamma", tau=1, n=4):
+    def _setup(self, kind="gamma", tau=1, n=4, m=4000):
         cfg = DgpConfig.make(kind, n_train=n)
         data = simulate(cfg, seed=8)
         t = cfg.T - 1 - tau
         plan = always_treat(t, tau)
-        return cfg, data, t, oracle_nuisances(cfg, plan, m=4000, seed=0)
+        return cfg, data, t, oracle_nuisances(cfg, plan, m=m, seed=0)
 
     def test_propensity_closed_form(self):
         cfg, data, t, oracle = self._setup()
         st_ = State.from_dataset(data, t)
-        p = oracle.propensity(t, st_.x, st_.y_prev, st_.a_prev)
+        p = oracle.propensity(t, st_)
         expect = sigmoid(propensity_logit(cfg, st_.x, st_.y_prev, st_.a_prev))
         np.testing.assert_allclose(p, expect)
         never = oracle_nuisances(cfg, never_treat(t, 1), m=100)
-        np.testing.assert_allclose(never.propensity(t, st_.x, st_.y_prev, st_.a_prev), 1.0 - expect)
+        np.testing.assert_allclose(never.propensity(t, st_), 1.0 - expect)
 
     def test_response_exact_vs_mc(self):
         for kind, tau in [("gamma", 1), ("pi", 2), ("mu", 1), ("n", 2), ("mu", 3)]:
-            cfg, data, t, oracle = self._setup(kind, tau)
+            cfg, data, t, oracle = self._setup(kind, tau, m=20000)
             st_ = State.from_dataset(data, t)
-            mc, se = oracle.response_mc(t, st_, m=20000)
-            ex = oracle.response_exact(t, st_.x, x_prev=st_.x_prev)
+            mc, se = oracle.response_mc(t, st_)
+            ex = oracle.response_exact(t, st_)
             assert (np.abs(mc - ex) < 4.0 * se + 1e-3).all(), (kind, tau)
 
     def test_response_nested_mc_cross_check(self):
-        cfg, data, t, oracle = self._setup("gamma", 1)
+        cfg, data, t, oracle = self._setup("gamma", 1, m=20000)
         st_ = State.from_dataset(data, t)
-        nested, se = oracle.response_nested_mc(st_, m=20000)
-        ex = oracle.response_exact(t, st_.x, x_prev=st_.x_prev)
+        nested, se = oracle.response_nested_mc(st_)
+        ex = oracle.response_exact(t, st_)
         assert (np.abs(nested - ex) < 4.0 * se + 1e-3).all()
 
     def test_tail_weight_quadrature_vs_mc(self):
-        cfg, data, t, oracle = self._setup("gamma", 1)
+        cfg, data, t, oracle = self._setup("gamma", 1, m=40000)
         st_ = State.from_dataset(data, t)
-        quad = oracle.tail_weight(t, st_.x, st_.y_prev, st_.a_prev)
-        mc = oracle._tail_weight_mc(t, st_.x, st_.y_prev, st_.a_prev, m=40000,
-                                    x_prev=st_.x_prev)
+        quad = oracle.tail_weight(t, st_)
+        mc = oracle._tail_weight_mc(t, st_)
         assert ((quad > 0) & (quad < 1)).all()
         np.testing.assert_allclose(quad, mc, atol=0.01)
 
     def test_tail_weight_terminal_step_is_one(self):
         cfg, data, t, oracle = self._setup("gamma", 1)
         st_ = State.from_dataset(data, t + 1)
-        np.testing.assert_allclose(
-            oracle.tail_weight(t + 1, st_.x, st_.y_prev, st_.a_prev), 1.0)
+        np.testing.assert_allclose(oracle.tail_weight(t + 1, st_), 1.0)
 
     def test_omega_bounded(self):
-        cfg, data, t, oracle = self._setup("mu", 1)
-        st_ = State.from_dataset(data, t)
-        om = oracle.omega(t, st_.x, st_.y_prev, st_.a_prev, m=2000, x_prev=st_.x_prev)
+        cfg, data, t, oracle = self._setup("mu", 1, m=2000)
+        om = OracleBackedNuisances(oracle).evaluate(data).omega_t
         assert ((om >= 0) & (om <= 1)).all()
 
 

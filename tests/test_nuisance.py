@@ -65,7 +65,7 @@ class TestOracleBacked:
         t = cfg.eval_anchor
         oracle = oracle_nuisances(cfg, never_treat(t, 1), m=500)
         st_ = State.from_dataset(data, t)
-        assert (oracle.propensity(t, st_.x, st_.y_prev, st_.a_prev) == 0.0).any()
+        assert (oracle.propensity(t, st_) == 0.0).any()
         ev = OracleBackedNuisances(oracle).evaluate(data, floor=0.0)
         assert ev.pi.min() == 1e-12
 
@@ -90,7 +90,7 @@ class TestFittedNuisances:
 
         feats = feature_matrix(data, t, window=1)
         st_ = State.from_dataset(data, t)
-        truth = oracle_nuisances(cfg, plan).response_exact(t, st_.x, x_prev=st_.x_prev)
+        truth = oracle_nuisances(cfg, plan).response_exact(t, st_)
         assert np.sqrt(np.mean((models[t].predict(feats) - truth) ** 2)) < 0.1
 
     def test_weight_fit_tracks_truth(self):
@@ -102,8 +102,7 @@ class TestFittedNuisances:
 
         feats = feature_matrix(data, t, window=1)
         st_ = State.from_dataset(data, t)
-        truth = oracle_nuisances(cfg, plan, m=4000).tail_weight(
-            t, st_.x, st_.y_prev, st_.a_prev, x_prev=st_.x_prev)
+        truth = oracle_nuisances(cfg, plan, m=4000).tail_weight(t, st_)
         assert np.sqrt(np.mean((wmods[t].predict(feats) - truth) ** 2)) < 0.1
 
     def test_evaluation_shapes_and_floor(self):

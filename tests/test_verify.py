@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wolearn import dgp, verify
+from wolearn.core import ParameterError
 from wolearn.verify import (
     DiagnosticReport,
     check_conditional_mean_gamma,
@@ -35,9 +36,10 @@ class TestConditionalMeans:
         rep = check_conditional_mean_rho(seed=0, n_histories=8, m=4000)
         assert rep.passed, rep.summary
 
-    def test_detects_broken_target(self):
+    def test_detects_broken_target(self, monkeypatch):
         # sanity: an impossible tolerance must fail the check
-        rep = check_conditional_mean_gamma(seed=0, n_histories=5, m=4000, z_max=1e-4)
+        monkeypatch.setattr(verify, "Z_CONDITIONAL", 1e-4)
+        rep = check_conditional_mean_gamma(seed=0, n_histories=5, m=4000)
         assert not rep.passed
 
     def test_deterministic(self):
@@ -90,6 +92,23 @@ class TestRLearnerReduction:
         assert rep.detail["err_rho_collapse"] <= 1e-10
         assert rep.detail["err_xi_collapse"] <= 1e-10
         assert rep.detail["exact_loss_max_rel_err"] <= 1e-10
+
+    def test_rejects_multi_step_config(self):
+        # the pointwise identities and the E[rho|H] harness must test the
+        # same single-step plans
+        with pytest.raises(ParameterError, match="tau = 0"):
+            check_r_learner_reduction(config=dgp.DgpConfig.make("gamma", tau=1))
+
+    def test_conditional_mean_part_can_fail(self, monkeypatch):
+        # an impossible E[rho|H] gate fails the check on its own: the
+        # pointwise identities still hold to TOL_POINTWISE
+        monkeypatch.setattr(verify, "Z_CONDITIONAL", 1e-4)
+        rep = check_r_learner_reduction(seed=0, n=1000, m=10000, n_histories=4)
+        assert not rep.passed
+        assert rep.detail["rho_mean_worst_z"] > 1e-4
+        for key in ("err_omega", "err_rho_collapse", "err_xi_collapse",
+                    "exact_loss_max_rel_err"):
+            assert rep.detail[key] <= 1e-10
 
 
 class TestVerifyAll:

@@ -27,8 +27,7 @@ import numpy as np
 from . import backbone
 from .core import (Dataset, InterventionPlan, ParameterError, always_treat, feature_matrix,
                    never_treat, split_dataset)
-from .nuisance import (MIN_FIT_UNITS, PROPENSITY_FLOOR, fit_nuisances, fit_propensity_models,
-                       _child_seed)
+from .nuisance import PROPENSITY_FLOOR, _child_seed, fit_nuisances
 from .pseudo import PseudoConfig, cate_pseudo, gamma_plan, ipw_transform, risk_linear_term
 
 LEARNERS = ("wo", "dr", "ipw", "ra", "ha")
@@ -71,16 +70,16 @@ class Cell:
 
 def prepare_cell(data, plan_a, plan_b, lam=0.5, hp=None, seed=0, window="full",
                  floor=PROPENSITY_FLOOR, nuisances=None) -> Cell:
-    """Split the data, fit nuisances for both plans on the nuisance split
-    (propensity classifiers shared when the plans cover the same times),
+    """Split the data, fit both plans' nuisances on the nuisance split with
+    one `fit_nuisances` call (the plans share its propensity classifiers),
     and evaluate them once per arm on the stage-2 split; the floored
     evaluations are copies of the unfloored ones with pi clipped.
 
     Pass `nuisances = (eval_a, eval_b)` objects with an `.evaluate(data,
     floor)` method (e.g. oracle-backed) to skip fitting; the full dataset
     then serves as the stage-2 split. When fitting, a plan step that fewer
-    than MIN_FIT_UNITS nuisance-split units follow raises ParameterError:
-    the effect is not identified there.
+    than MIN_FIT_UNITS nuisance-split units take raises ParameterError
+    before any network trains: the effect is not identified there.
     """
     if plan_a.start != plan_b.start or plan_a.horizon != plan_b.horizon:
         raise ParameterError("plans must share anchor and horizon")
@@ -90,18 +89,7 @@ def prepare_cell(data, plan_a, plan_b, lam=0.5, hp=None, seed=0, window="full",
         nuis_split, stage2 = split_dataset(data, lam, seed)
         if set(nuis_split.ids.tolist()) & set(stage2.ids.tolist()):
             raise ParameterError("nuisance and stage-2 splits must be disjoint")
-        for plan in (plan_a, plan_b):
-            for j, a_j in zip(range(plan.start, plan.end + 1), plan.values):
-                n_j = int(np.sum(nuis_split.a[:, j] == a_j))
-                if n_j < MIN_FIT_UNITS:
-                    raise ParameterError(
-                        f"only {n_j} nuisance-split units take treatment {a_j} at time {j}; "
-                        f"fitting the plan's responses needs {MIN_FIT_UNITS}")
-        hp = hp or backbone.Hyperparameters()
-        prop = fit_propensity_models(nuis_split, plan_a.start, plan_a.horizon,
-                                     hp=hp, window=window, seed=seed)
-        na, nb = (fit_nuisances(nuis_split, plan, hp=hp, window=window, seed=seed,
-                                propensity_models=prop) for plan in (plan_a, plan_b))
+        na, nb = fit_nuisances(nuis_split, (plan_a, plan_b), hp=hp, window=window, seed=seed)
     raw_a, raw_b = na.evaluate(stage2, floor=0.0), nb.evaluate(stage2, floor=0.0)
     return Cell(data, plan_a, plan_b, nuis_split, stage2,
                 raw_a.floored(floor), raw_b.floored(floor), raw_a, raw_b, window)

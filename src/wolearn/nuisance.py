@@ -16,13 +16,17 @@ the nuisance split and later evaluated on held-out data:
                 the expectation runs over the observational law). W at the
                 final stage is identically 1.
 
+`fit_nuisances` fits a whole cell: the propensity stack once, then each
+plan's responses and tail weights. A treatment that is constant at a plan
+step, or a plan step that fewer than MIN_FIT_UNITS units take, raises
+ParameterError before any network trains.
+
 Propensities are floored at evaluation time (never during fitting) and the
 overlap weight is omega_t = pi_t * W_{t+1}.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,17 +42,6 @@ MIN_FIT_UNITS = 10
 def _child_seed(seed, tag, j) -> int:
     """Deterministic per-model seed derived from (run seed, family, time)."""
     return int(np.random.SeedSequence((seed, tag, j)).generate_state(1)[0])
-
-
-class _ConstantModel:
-    """Fallback when a fit would be degenerate (single-class labels, a
-    constant target, or too few units)."""
-
-    def __init__(self, value: float):
-        self.value = float(value)
-
-    def predict(self, x):
-        return np.full(np.asarray(x).shape[0], self.value)
 
 
 @dataclass
@@ -119,40 +112,45 @@ class FittedNuisances:
         return NuisanceEvaluation.from_steps(self.plan, data, step).floored(floor)
 
 
+def _check_support(data: Dataset, plan: InterventionPlan) -> None:
+    """Raise ParameterError unless at least MIN_FIT_UNITS units of `data` take
+    the plan's treatment at every plan step: with fewer, the response
+    recursion has nothing to learn from and the effect is not identified."""
+    if plan.end >= data.T:
+        raise ParameterError("plan extends past the trajectory length")
+    for j, a_j in zip(range(plan.start, plan.end + 1), plan.values):
+        n_j = int(np.sum(data.a[:, j] == a_j))
+        if n_j < MIN_FIT_UNITS:
+            raise ParameterError(f"only {n_j} units take treatment {a_j} at time {j}; "
+                                 f"fitting the plan's responses needs {MIN_FIT_UNITS}")
+
+
 def fit_propensity_models(data: Dataset, t: int, tau: int, hp=None, window="full", seed=0):
-    """One classifier P(A_j = 1 | H_j) per time j in [t, t+tau]; plans of
-    either arm share these models. The non-constant steps train as one
-    stack."""
+    """One classifier P(A_j = 1 | H_j) per time j in [t, t+tau], trained as
+    one stack; plans of either arm share these models. A treatment that is
+    constant at some j raises ParameterError before any network trains."""
     hp = hp or backbone.Hyperparameters()
-    models, fitted = {}, {}
-    for j in range(t, t + tau + 1):
-        feats = feature_matrix(data, j, window=window)
+    times = range(t, t + tau + 1)
+    problems = []
+    for j in times:
         labels = data.a[:, j].astype(float)
         if labels.min() == labels.max():
-            warnings.warn(f"treatment at time {j} is constant; using a saturated propensity")
-            models[j] = _ConstantModel(1.0 if labels[0] == 1 else 0.0)
-        else:
-            fitted[j] = (backbone.classification_problem(feats, labels),
-                         replace(hp, seed=_child_seed(seed, 0xA, j)))
-    return _fit_stacked(models, fitted)
-
-
-def _fit_stacked(models, fitted):
-    """Fill `models` with one network per {j: (problem, hp)} of `fitted`,
-    trained as one stack; returns `models` ordered by j."""
-    if fitted:
-        problems, hps = zip(*fitted.values())
-        models.update(zip(fitted, backbone.fit_stack(problems, hps)))
-    return dict(sorted(models.items()))
+            raise ParameterError(f"treatment at time {j} is constant; "
+                                 "its propensity is not identified")
+        problems.append(backbone.classification_problem(feature_matrix(data, j, window=window),
+                                                        labels))
+    hps = [replace(hp, seed=_child_seed(seed, 0xA, j)) for j in times]
+    return dict(zip(times, backbone.fit_stack(problems, hps)))
 
 
 def fit_response_models(data: Dataset, plan: InterventionPlan, hp=None, window="full", seed=0):
     """Backward recursion of plan-conditional responses. Returns
-    ({j: regressor}, provenance log of per-stage subsample sizes)."""
+    ({j: regressor}, provenance log of per-stage subsample sizes). A step
+    with fewer than MIN_FIT_UNITS units taking the plan's treatment raises
+    ParameterError before any network trains."""
     hp = hp or backbone.Hyperparameters()
+    _check_support(data, plan)
     t, tau = plan.start, plan.horizon
-    if plan.end >= data.T:
-        raise ParameterError("plan extends past the trajectory length")
     models = {}
     log = []
     target = data.y[:, t + tau].copy()
@@ -160,15 +158,10 @@ def fit_response_models(data: Dataset, plan: InterventionPlan, hp=None, window="
         a_j = plan.values[j - t]
         feats = feature_matrix(data, j, window=window)
         sel = data.a[:, j] == a_j
-        n_sel = int(sel.sum())
-        log.append({"time": j, "arm": a_j, "n_fit": n_sel})
-        if n_sel < MIN_FIT_UNITS:
-            warnings.warn(f"only {n_sel} units follow the plan at time {j}; using a constant response")
-            models[j] = _ConstantModel(target[sel].mean() if n_sel else target.mean())
-        else:
-            models[j] = backbone.fit_regressor(
-                feats[sel], target[sel], hp=replace(hp, seed=_child_seed(seed, 0xB, j))
-            )
+        log.append({"time": j, "arm": a_j, "n_fit": int(sel.sum())})
+        models[j] = backbone.fit_regressor(
+            feats[sel], target[sel], hp=replace(hp, seed=_child_seed(seed, 0xB, j))
+        )
         if j > t:
             target = models[j].predict(feats)  # next stage regresses this prediction
     return models, log
@@ -181,8 +174,7 @@ def fit_weight_models(data: Dataset, plan: InterventionPlan, propensity_models, 
     The target for time j is the realized product of fitted plan
     propensities over k = j+1 .. t+tau; regression against features(H_j)
     recovers its conditional expectation under the observational law. The
-    steps train as one stack; a step with a constant target or fewer than
-    MIN_FIT_UNITS units gets a constant model instead.
+    steps train as one stack.
     """
     hp = hp or backbone.Hyperparameters()
     t, tau = plan.start, plan.horizon
@@ -194,33 +186,33 @@ def fit_weight_models(data: Dataset, plan: InterventionPlan, propensity_models, 
         feats = feature_matrix(data, j, window=window)
         p1 = propensity_models[j].predict(feats)
         pi_hat[:, k] = p1 if plan.values[k] == 1 else 1.0 - p1
-    models, fitted = {}, {}
-    for j in range(t, t + tau):
-        tail = np.prod(pi_hat[:, j - t + 1 :], axis=1)
-        if data.n < MIN_FIT_UNITS:
-            warnings.warn(f"only {data.n} units for the tail weight at time {j}; "
-                          "using a constant weight")
-            models[j] = _ConstantModel(tail.mean())
-        elif tail.min() == tail.max():
-            warnings.warn(f"tail-weight target at time {j} is constant; using it as the weight")
-            models[j] = _ConstantModel(tail[0])
-        else:
-            feats = feature_matrix(data, j, window=window)
-            fitted[j] = (backbone.regression_problem(feats, tail),
-                         replace(hp, seed=_child_seed(seed, 0xC, j)))
-    return _fit_stacked(models, fitted)
+    times = range(t, t + tau)
+    problems = [backbone.regression_problem(feature_matrix(data, j, window=window),
+                                            np.prod(pi_hat[:, j - t + 1 :], axis=1))
+                for j in times]
+    hps = [replace(hp, seed=_child_seed(seed, 0xC, j)) for j in times]
+    return dict(zip(times, backbone.fit_stack(problems, hps)))
 
 
-def fit_nuisances(data: Dataset, plan: InterventionPlan, hp=None, window="full", seed=0,
-                  propensity_models=None) -> FittedNuisances:
-    """Fit all three nuisance families for one plan on the given (nuisance)
-    split. Pass `propensity_models` to reuse classifiers across arms."""
-    t, tau = plan.start, plan.horizon
-    if propensity_models is None:
-        propensity_models = fit_propensity_models(data, t, tau, hp=hp, window=window, seed=seed)
-    response_models, _ = fit_response_models(data, plan, hp=hp, window=window, seed=seed)
-    weight_models = fit_weight_models(data, plan, propensity_models, hp=hp, window=window, seed=seed)
-    return FittedNuisances(plan, propensity_models, response_models, weight_models, window=window)
+def fit_nuisances(data: Dataset, plans, hp=None, window="full", seed=0) -> list:
+    """Fit a cell's nuisances on the given (nuisance) split: one propensity
+    stack that the plans share, then each plan's response recursion and
+    tail-weight stack. Returns one FittedNuisances per plan.
+
+    Every plan's support is checked before any network trains, so a plan
+    step that fewer than MIN_FIT_UNITS units take, or a constant treatment,
+    raises ParameterError instead of a half-trained cell.
+    """
+    for plan in plans:
+        _check_support(data, plan)
+    t, end = min(p.start for p in plans), max(p.end for p in plans)
+    propensity_models = fit_propensity_models(data, t, end - t, hp=hp, window=window, seed=seed)
+    return [FittedNuisances(plan, propensity_models,
+                            fit_response_models(data, plan, hp=hp, window=window, seed=seed)[0],
+                            fit_weight_models(data, plan, propensity_models, hp=hp,
+                                              window=window, seed=seed),
+                            window=window)
+            for plan in plans]
 
 
 class OracleBackedNuisances:

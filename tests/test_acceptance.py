@@ -8,6 +8,9 @@ seeds per cell, full-history features for the short (T=5) panels and the
 exact Markov window for the long (T=15) panels.
 """
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 from conftest import acceptance_report
@@ -37,17 +40,18 @@ def _criterion(name, ok, detail):
 
 
 def _sweep(kind, axis, grid, learners, window):
-    out = {}
-    for value in grid:
-        cfg = dgp.DgpConfig.make(kind, **{axis: value})
-        per = {k: [] for k in learners}
-        for seed in SEEDS:
-            result = run_experiment(cfg, seed=seed, learners=learners, floor=FLOOR,
-                                    window=window, pseudo_config=PSEUDO)
-            for k in learners:
-                per[k].append(result["rmse"][k])
-        out[value] = {k: float(np.mean(v)) for k, v in per.items()}
-    return out
+    # Each (value, seed) cell is a pure function of its config and seed, so
+    # two workers give the serial results; they are read back in seed order.
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
+        futures = {value: [pool.submit(run_experiment, dgp.DgpConfig.make(kind, **{axis: value}),
+                                       seed=seed, learners=learners, floor=FLOOR,
+                                       window=window, pseudo_config=PSEUDO)
+                           for seed in SEEDS]
+                   for value in grid}
+        return {value: {k: float(np.mean([f.result()["rmse"][k] for f in cells]))
+                        for k in learners}
+                for value, cells in futures.items()}
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,7 @@ from wolearn.learners import (
     train_learner,
     train_wo,
 )
-from wolearn.nuisance import OracleBackedNuisances, fit_nuisances, fit_propensity_models
+from wolearn.nuisance import OracleBackedNuisances, fit_nuisances
 from wolearn.pseudo import PseudoConfig, cate_pseudo, risk_linear_term
 
 FAST = Hyperparameters(hidden=(8,), epochs=40)
@@ -56,14 +56,15 @@ class TestPrepareCell:
         with pytest.raises(ParameterError):
             prepare_cell(data, always_treat(2, 1), never_treat(2, 2))
 
-    def test_unsupported_arm_rejected(self):
+    def test_unsupported_arm_rejected(self, no_training):
         # With A == 1 nobody follows never-treat: the contrast is not
-        # identified, so preparing the cell must fail, not warn.
+        # identified, so preparing the cell must fail before any network
+        # trains, not warn.
         cfg = DgpConfig.make("gamma", n_train=600)
         data = simulate(cfg, seed=0)
         treated = Dataset(data.x, np.ones_like(data.a), data.y)
         t = cfg.eval_anchor
-        with pytest.raises(ParameterError, match="nuisance-split units"):
+        with pytest.raises(ParameterError, match=f"only 0 units take treatment 0 at time {t};"):
             prepare_cell(treated, always_treat(t, cfg.tau), never_treat(t, cfg.tau), hp=FAST)
 
     def test_overlapping_splits_rejected(self, monkeypatch):
@@ -91,9 +92,7 @@ class TestPrepareCell:
             cell = prepare_cell(data, pa, pb, floor=floor, nuisances=arms)
         else:
             cell = prepare_cell(data, pa, pb, hp=FAST, seed=3, window=1, floor=floor)
-            prop = fit_propensity_models(cell.nuis_split, t, cfg.tau, hp=FAST, window=1, seed=3)
-            arms = [fit_nuisances(cell.nuis_split, p, hp=FAST, window=1, seed=3,
-                                  propensity_models=prop) for p in (pa, pb)]
+            arms = fit_nuisances(cell.nuis_split, (pa, pb), hp=FAST, window=1, seed=3)
         assert min(cell.ev_a_raw.pi.min(), cell.ev_b_raw.pi.min()) < floor
         for arm, ev, raw in zip(arms, (cell.ev_a, cell.ev_b), (cell.ev_a_raw, cell.ev_b_raw)):
             for got, at in ((ev, floor), (raw, 0.0)):

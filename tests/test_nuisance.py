@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from wolearn import dgp
-from wolearn.backbone import Hyperparameters, Network
-from wolearn.core import always_treat, never_treat
+from wolearn.backbone import Hyperparameters
+from wolearn.core import ParameterError, always_treat, never_treat
 from wolearn.dgp import DgpConfig, State, oracle_nuisances, propensity_logit, sigmoid, simulate
 from wolearn.nuisance import (
     MIN_FIT_UNITS,
     PROPENSITY_FLOOR,
     OracleBackedNuisances,
-    _ConstantModel,
     _child_seed,
     fit_nuisances,
     fit_propensity_models,
@@ -107,7 +106,7 @@ class TestFittedNuisances:
 
     def test_evaluation_shapes_and_floor(self):
         cfg, data, t, plan = _setup(n=300)
-        nu = fit_nuisances(data, plan, hp=FAST, window=1)
+        (nu,) = fit_nuisances(data, (plan,), hp=FAST, window=1)
         ev = nu.evaluate(data, floor=PROPENSITY_FLOOR)
         n, steps = data.n, plan.horizon + 1
         assert ev.pi.shape == ev.ind.shape == ev.mu.shape == ev.w_next.shape == (n, steps)
@@ -117,32 +116,21 @@ class TestFittedNuisances:
 
     def test_shared_propensities_across_arms(self):
         cfg, data, t, plan = _setup(n=300)
-        prop = fit_propensity_models(data, t, 1, hp=FAST, window=1)
-        na = fit_nuisances(data, plan, hp=FAST, window=1, propensity_models=prop)
-        nb = fit_nuisances(data, never_treat(t, 1), hp=FAST, window=1, propensity_models=prop)
+        na, nb = fit_nuisances(data, (plan, never_treat(t, 1)), hp=FAST, window=1)
         assert na.propensity_models is nb.propensity_models
         ev_a, ev_b = na.evaluate(data, floor=0.0), nb.evaluate(data, floor=0.0)
         np.testing.assert_allclose(ev_a.pi + ev_b.pi, 1.0)
 
-    def test_constant_fallbacks(self):
+    def test_constant_treatment_rejected(self, no_training):
         cfg, data, t, plan = _setup(n=30)
-        # force a constant treatment column
         data.a[:, t] = 1
-        with pytest.warns(UserWarning, match="constant"):
-            models = fit_propensity_models(data, t, 0, hp=FAST, window=1)
-        np.testing.assert_allclose(models[t].predict(np.zeros((3, 4))), 1.0)
+        with pytest.raises(ParameterError, match=f"treatment at time {t} is constant"):
+            fit_propensity_models(data, t, 0, hp=FAST, window=1)
 
-    def test_weight_fallbacks(self):
-        cfg, data, t, plan = _setup(tau=2, n=30)
-        prop = fit_propensity_models(data, t, 2, hp=FAST, window=1)
-        # a constant last propensity makes the target at t+1 constant while
-        # the target at t still varies: only t+1 leaves the stack
-        prop[t + 2] = _ConstantModel(0.7)
-        with pytest.warns(UserWarning, match="constant"):
-            models = fit_weight_models(data, plan, prop, hp=FAST, window=1)
-        assert isinstance(models[t], Network)
-        np.testing.assert_allclose(models[t + 1].predict(np.zeros((3, 4))), 0.7)
-        few = data.subset(np.arange(MIN_FIT_UNITS - 1))
-        with pytest.warns(UserWarning, match="units"):
-            models = fit_weight_models(few, plan, prop, hp=FAST, window=1)
-        assert all(isinstance(m, _ConstantModel) for m in models.values())
+    def test_too_few_response_units_rejected(self, no_training):
+        cfg, data, t, plan = _setup(n=100)
+        data.a[:, t + 1] = 0
+        data.a[: MIN_FIT_UNITS - 1, t + 1] = 1
+        match = f"only {MIN_FIT_UNITS - 1} units take treatment 1 at time {t + 1};"
+        with pytest.raises(ParameterError, match=match):
+            fit_response_models(data, plan, hp=FAST, window=1)

@@ -43,6 +43,8 @@ class Hyperparameters:
     def __post_init__(self):
         if self.learning_rate <= 0 or self.epochs < 1 or self.batch_size < 1:
             raise ParameterError("learning_rate, epochs, batch_size must be positive")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ParameterError(f"dropout {self.dropout} outside [0, 1)")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
 
 

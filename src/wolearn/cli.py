@@ -3,7 +3,9 @@
 All commands take an experiment spec (JSON file via --spec, individual
 fields overridable on the command line; overrides win). A spec pins the
 generator configuration, the learner list, an optional sweep axis with its
-grid, the seed list, and estimator flags. Sweeps write one CSV row per
+grid, the seed list, and estimator flags; it is checked when built.
+`run_cells` runs a spec's (grid value, seed) cells in spawned workers for
+`sweep` and the acceptance suite alike. Sweeps write one CSV row per
 (learner, grid value) plus a provenance JSON carrying the exact spec and
 its hash; rerunning an identical spec reproduces identical artifacts.
 """
@@ -13,9 +15,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import click
@@ -52,18 +55,28 @@ class ExperimentSpec:
     seeds: tuple = (0, 1, 2, 3, 4)
     out_dir: str = "runs"
     floor: float = PROPENSITY_FLOOR
-    rho_tau0_collapse: bool = False
     clamp_rho: bool = False
-    window: str = "full"  # "full" or an integer step count
+    window: object = "full"  # "full" or an integer step count
     lam: float = 0.5
     allow_off_grid: bool = False
 
     def __post_init__(self):
+        # an integer axis's grid and the window become ints, and every grid
+        # value's DgpConfig is built, so a bad spec fails before any cell runs
+        grid = tuple(int(v) if self.axis in ("tau", "d_x", "n_train") else v
+                     for v in self.grid)
+        if grid != tuple(self.grid):
+            raise ParameterError(f"axis {self.axis!r} takes integer grid values")
+        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "learners", tuple(self.learners))
-        object.__setattr__(self, "grid", tuple(self.grid))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        if self.window != "full":
+            object.__setattr__(self, "window", int(self.window))
         if not self.learners:
             raise ParameterError("learner list must not be empty")
+        unknown = set(self.learners) - set(LEARNERS + ("ipw_nofloor",))
+        if unknown:
+            raise ParameterError(f"unknown learner(s) {sorted(unknown)}")
         if self.axis != "none":
             if self.axis not in AXIS_GRIDS:
                 raise ParameterError(f"unknown sweep axis {self.axis!r}")
@@ -75,15 +88,12 @@ class ExperimentSpec:
                     raise ParameterError(
                         f"grid values {bad} outside the reference grid for {self.axis!r}; "
                         "pass --allow-off-grid to override")
-
-    @property
-    def window_value(self):
-        return self.window if self.window == "full" else int(self.window)
+        for value in self.grid if self.axis != "none" else (None,):
+            self.config_for(value)
 
     @property
     def pseudo_config(self) -> PseudoConfig:
-        return PseudoConfig(rho_tau0_collapse=self.rho_tau0_collapse,
-                            clamp_rho=self.clamp_rho)
+        return PseudoConfig(clamp_rho=self.clamp_rho)
 
     def config_for(self, axis_value=None) -> dgp.DgpConfig:
         over = dict(self.dgp)
@@ -125,7 +135,6 @@ _SPEC_OPTIONS = [
     click.option("--out-dir", "out_dir", default=None),
     click.option("--floor", type=float, default=None,
                  help="Two-sided propensity floor applied at evaluation."),
-    click.option("--rho-tau0-collapse", "rho_tau0_collapse", is_flag=True, default=None),
     click.option("--clamp-rho", "clamp_rho", is_flag=True, default=None,
                  help="Clamp negative rho weights to zero in the second stage."),
     click.option("--window", default=None,
@@ -139,12 +148,6 @@ def _with_spec_options(fn):
     for opt in reversed(_SPEC_OPTIONS):
         fn = opt(fn)
     return fn
-
-
-def _normalize_grid(spec: ExperimentSpec) -> ExperimentSpec:
-    if spec.axis in ("tau", "d_x", "n_train"):
-        return replace(spec, grid=tuple(int(v) for v in spec.grid))
-    return spec
 
 
 @click.group()
@@ -173,10 +176,27 @@ def _run_cell(spec: ExperimentSpec, axis_value, seed):
     config = spec.config_for(None if spec.axis == "none" else axis_value)
     t0 = time.time()
     result = run_experiment(config, seed=seed, learners=spec.learners, lam=spec.lam,
-                            pseudo_config=spec.pseudo_config, window=spec.window_value,
+                            pseudo_config=spec.pseudo_config, window=spec.window,
                             floor=spec.floor)
     result["seconds"] = time.time() - t0
     return result
+
+
+def run_cells(spec: ExperimentSpec, workers: int):
+    """Run every (grid value, seed) cell of `spec` in `workers` spawned
+    processes. Returns ({(value, seed): result}, failures); a cell that
+    raises is recorded as {"cell": (value, seed), "error": repr}."""
+    results, failures = {}, []
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
+        futures = {(v, s): pool.submit(_run_cell, spec, v, s)
+                   for v in spec.grid for s in spec.seeds}
+        for key, fut in futures.items():
+            try:
+                results[key] = fut.result()
+            except Exception as exc:  # record, never abort the sweep
+                failures.append({"cell": key, "error": repr(exc)})
+    return results, failures
 
 
 @main.command()
@@ -190,7 +210,7 @@ def run(spec_path, seed, **overrides):
     out = Path(spec.out_dir) / f"{spec.kind}_seed{seed}"
     out.mkdir(parents=True, exist_ok=True)
 
-    cell, test, truth = build_cell(config, seed=seed, lam=spec.lam, window=spec.window_value,
+    cell, test, truth = build_cell(config, seed=seed, lam=spec.lam, window=spec.window,
                                    floor=spec.floor)
 
     po = cate_pseudo(cell.ev_a, cell.ev_b, cell.y_final, spec.pseudo_config)
@@ -214,36 +234,20 @@ def run(spec_path, seed, **overrides):
 
 @main.command()
 @_with_spec_options
-@click.option("--workers", type=int, default=1, help="Worker processes for sweep cells.")
+@click.option("--workers", type=int, default=1, help="Spawned worker processes for the cells.")
 def sweep(spec_path, workers, **overrides):
     """Run the grid x seeds sweep and write the aggregated CSV.
 
     Results are deterministic per cell and independent of worker count or
     completion order. A failed cell is recorded and skipped, never aborting
     the sweep; the exit code is nonzero if any cell failed."""
-    spec = _normalize_grid(_load_spec(spec_path, **overrides))
+    spec = _load_spec(spec_path, **overrides)
     if spec.axis == "none":
         raise click.UsageError("sweep requires a sweep axis; use `run` for a single cell")
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    cells = [(value, seed) for value in spec.grid for seed in spec.seeds]
-    results, failures = {}, []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {(v, s): pool.submit(_run_cell, spec, v, s) for v, s in cells}
-            for key, fut in futures.items():
-                try:
-                    results[key] = fut.result()
-                except Exception as exc:  # record, never abort the sweep
-                    failures.append({"cell": key, "error": repr(exc)})
-    else:
-        for key in cells:
-            try:
-                results[key] = _run_cell(spec, *key)
-            except Exception as exc:
-                failures.append({"cell": key, "error": repr(exc)})
-
+    results, failures = run_cells(spec, workers)
     rows = _aggregate(spec, results)
     csv_path = out / f"sweep_{spec.axis}_{spec.hash}.csv"
     with open(csv_path, "w", newline="") as f:
@@ -266,20 +270,16 @@ def sweep(spec_path, workers, **overrides):
 def _aggregate(spec: ExperimentSpec, results: dict):
     rows = []
     for value in spec.grid:
+        cells = [results[value, s] for s in spec.seeds if (value, s) in results]
+        if not cells:
+            continue
         per_learner = {}
         for name in spec.learners:
-            rmses, guards, secs = [], [], []
-            for seed in spec.seeds:
-                cell = results.get((value, seed))
-                if cell is None:
-                    continue
-                rmses.append(cell["rmse"][name])
-                guards.append(cell["guard_rate"])
-                secs.append(cell["seconds"])
-            if rmses:
-                per_learner[name] = (float(np.mean(rmses)),
-                                     float(np.std(rmses, ddof=1)) if len(rmses) > 1 else 0.0,
-                                     float(np.mean(guards)), float(np.sum(secs)))
+            rmses = [c["rmse"][name] for c in cells]
+            per_learner[name] = (float(np.mean(rmses)),
+                                 float(np.std(rmses, ddof=1)) if len(rmses) > 1 else 0.0,
+                                 float(np.mean([c["guard_rate"] for c in cells])),
+                                 float(np.sum([c["seconds"] for c in cells])))
         baselines = {k: v[0] for k, v in per_learner.items() if k != "wo"}
         best_baseline = min(baselines.values()) if baselines else None
         for name, (mean, sd, guard, secs) in per_learner.items():

@@ -30,6 +30,8 @@ class InterventionPlan:
         vals = tuple(int(v) for v in self.values)
         if len(vals) < 1 or any(v not in (0, 1) for v in vals):
             raise ParameterError("plan values must be a non-empty binary sequence")
+        if self.start < 0:
+            raise ParameterError(f"plan start {self.start} is negative")
         object.__setattr__(self, "values", vals)
 
     @property

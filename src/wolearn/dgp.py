@@ -19,12 +19,14 @@ state only. So the mean outcome under a plan (`expected_outcome`) is a
 Gaussian integral per covariate dimension for every family, and it gives
 the exact test-set truth and the oracle responses; the Monte Carlo
 rollouts (`ground_truth_cate`, `response_mc`) are independent cross-checks.
+`DgpConfig` rejects unknown settings, sizes below 1 and a tau outside
+[0, T-1]; the seed is an argument of every draw, never a setting.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -62,12 +64,20 @@ class DgpConfig:
     gamma: float = 1.0
     sigma_y: float = SIGMA_Y_DEFAULT
     sigma_x: float = SIGMA_X_DEFAULT
-    seed: int = 0
+
+    def __post_init__(self):
+        if min(self.T, self.d_x, self.n_train, self.n_test) < 1:
+            raise ConfigError("T, d_x, n_train and n_test must be at least 1")
+        if not 0 <= self.tau <= self.T - 1:
+            raise ConfigError(f"tau={self.tau} outside [0, T-1={self.T - 1}]")
 
     @classmethod
     def make(cls, kind: str, **overrides) -> "DgpConfig":
         if kind not in _KIND_DEFAULTS:
             raise ConfigError(f"unknown DGP kind {kind!r}")
+        unknown = set(overrides) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown generator setting(s) {sorted(unknown)}")
         params = dict(_KIND_DEFAULTS[kind])
         params.update(overrides)
         return cls(kind=kind, **params)
@@ -145,24 +155,17 @@ class State:
         )
 
 
-def _draw_noise(config: DgpConfig, shape, steps, rng):
-    return (
-        rng.normal(0.0, config.sigma_x, size=(*shape, steps, config.d_x)),
-        rng.normal(0.0, config.sigma_y, size=(*shape, steps)),
-        rng.uniform(size=(*shape, steps)),
-    )
-
-
-def rollout(config: DgpConfig, state: State, steps: int, rng=None, forced=None, noise=None):
+def rollout(config: DgpConfig, state: State, steps: int, rng, forced=None):
     """Simulate `steps` consecutive time points starting at the state's
     current time. `forced` is a per-step sequence of 0/1/None (None samples
     the treatment observationally). Returns dict with x, a, y, p1 arrays of
     shape (L, steps[, d_x]) where p1 is P(A=1 | history) at each step.
+    Equally seeded `rng`s give the same noise whatever `forced` is.
     """
     L = state.y_prev.shape[0]
-    if noise is None:
-        noise = _draw_noise(config, (L,), steps, rng)
-    eps_x, eps_y, u = noise
+    eps_x = rng.normal(0.0, config.sigma_x, size=(L, steps, config.d_x))
+    eps_y = rng.normal(0.0, config.sigma_y, size=(L, steps))
+    u = rng.uniform(size=(L, steps))
     x, x_prev = state.x.copy(), state.x_prev.copy()
     y_prev, a_prev = state.y_prev.copy(), state.a_prev.copy()
     xs = np.empty((L, steps, config.d_x))
@@ -182,9 +185,8 @@ def rollout(config: DgpConfig, state: State, steps: int, rng=None, forced=None, 
     return {"x": xs, "a": as_, "y": ys, "p1": p1s}
 
 
-def simulate(config: DgpConfig, seed=None, n=None) -> Dataset:
-    """Draw a complete panel of n trajectories under the configured DGP."""
-    seed = config.seed if seed is None else seed
+def simulate(config: DgpConfig, seed: int, n=None) -> Dataset:
+    """Draw a panel of n trajectories (default n_train) under the configured DGP."""
     n = config.n_train if n is None else n
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xD6B)))
     x0 = rng.normal(size=(n, config.d_x))
@@ -205,22 +207,13 @@ def _unit_state(data: Dataset, anchor: int, m: int) -> State:
     return State.from_dataset(data, anchor).tile(m)
 
 
-def conditional_rollout(config: DgpConfig, data: Dataset, anchor: int, plan, m: int, seed=0):
-    """m simulated futures of (X, A, Y) from `anchor` on, given the history
-    of the one unit in `data`. `plan` is an InterventionPlan (treatments
-    forced up to its end) or the string "observational" (the rest of the
-    panel)."""
-    if plan == "observational":
-        forced, steps = None, data.T - anchor
-    else:
-        if plan.start != anchor:
-            raise ParameterError("plan must start at the history anchor")
-        forced, steps = list(plan.values), plan.horizon + 1
-        if anchor + steps > data.T:
-            raise HorizonError("plan extends past the trajectory length")
+def conditional_rollout(config: DgpConfig, data: Dataset, anchor: int, m: int, seed: int):
+    """m simulated futures of (X, A, Y) from `anchor` to the end of the
+    panel under the observational law, given the history of the one unit
+    in `data`."""
     state = _unit_state(data, anchor, m)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA0)))
-    return rollout(config, state, steps, rng=rng, forced=forced)
+    return rollout(config, state, data.T - anchor, rng=rng)
 
 
 def ground_truth_cate(config: DgpConfig, data: Dataset, anchor: int, plan_a, plan_b, m: int,
@@ -234,10 +227,10 @@ def ground_truth_cate(config: DgpConfig, data: Dataset, anchor: int, plan_a, pla
     if anchor + steps > data.T:
         raise HorizonError("plan extends past the trajectory length")
     state = _unit_state(data, anchor, m)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC7E)))
-    noise = _draw_noise(config, (m,), steps, rng)
-    ya = rollout(config, state, steps, forced=list(plan_a.values), noise=noise)["y"][:, -1]
-    yb = rollout(config, state, steps, forced=list(plan_b.values), noise=noise)["y"][:, -1]
+    # a fresh, equally seeded generator per arm: common random numbers
+    rngs = [np.random.default_rng(np.random.SeedSequence((seed, 0xC7E))) for _ in range(2)]
+    ya, yb = (rollout(config, state, steps, rng=rng, forced=list(p.values))["y"][:, -1]
+              for rng, p in zip(rngs, (plan_a, plan_b)))
     diff = ya - yb
     return float(diff.mean()), float(diff.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0
 

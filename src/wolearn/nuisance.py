@@ -68,6 +68,8 @@ class NuisanceEvaluation:
 
     def floored(self, floor: float) -> "NuisanceEvaluation":
         """A copy with pi clipped to [floor, 1]; the other arrays are shared."""
+        if not 0.0 <= floor < 1.0:
+            raise ParameterError(f"propensity floor {floor} outside [0, 1)")
         return replace(self, pi=np.clip(self.pi, floor, 1.0))
 
     @classmethod

@@ -18,8 +18,8 @@ contrast of plans a over b:
   omega^{ab} = omega_t^a omega_t^b,
   xi = mu + (omega / rho) (gamma - mu),
 
-where the division is guarded: |rho| below eps_rho is replaced by
-sign(rho) * eps_rho and the unit flagged. At tau = 0 the middle term of
+where the division is guarded: |rho| below EPS_RHO is replaced by
+sign(rho) * EPS_RHO and the unit flagged. At tau = 0 the middle term of
 rho admits two conventions for its leading empty product; with
 `rho_tau0_collapse` it is dropped entirely so rho = pi_t, otherwise the
 empty-product-one convention yields rho = I_t. Both make rho
@@ -38,11 +38,11 @@ import numpy as np
 from .nuisance import NuisanceEvaluation
 
 GUARD_RATE_WARN = 0.20
+EPS_RHO = 1e-6
 
 
 @dataclass(frozen=True)
 class PseudoConfig:
-    eps_rho: float = 1e-6
     rho_tau0_collapse: bool = False
     # Clamp negative rho to zero when used as second-stage weights. rho is
     # conditionally unbiased for omega >= 0 but individual draws go
@@ -122,7 +122,7 @@ def cate_pseudo(ev_a: NuisanceEvaluation, ev_b: NuisanceEvaluation, y_final,
     rho = rho_a * om_b + rho_b * om_a - om_a * om_b
     omega = om_a * om_b
     mu = ev_a.mu[:, 0] - ev_b.mu[:, 0]
-    rho_g, flag = _guarded(rho, config.eps_rho)
+    rho_g, flag = _guarded(rho, EPS_RHO)
     out = PseudoOutcomes(gamma, rho, omega, mu, mu + omega / rho_g * (gamma - mu), flag)
     _warn_guard(out)
     return out

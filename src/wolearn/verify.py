@@ -82,7 +82,7 @@ def _z(values, target):
 def _completed_dataset(config, unit: Dataset, anchor: int, m: int, seed: int):
     """m copies of the one trajectory in `unit` whose segment from `anchor`
     onward is re-simulated under the observational law given the history."""
-    out = dgp.conditional_rollout(config, unit, anchor, "observational", m, seed=seed)
+    out = dgp.conditional_rollout(config, unit, anchor, m, seed)
     steps = out["y"].shape[1]
     x = np.repeat(unit.x, m, axis=0)
     a = np.repeat(unit.a, m, axis=0).astype(float)

@@ -8,15 +8,13 @@ seeds per cell, full-history features for the short (T=5) panels and the
 exact Markov window for the long (T=15) panels.
 """
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-
 import numpy as np
 import pytest
 from conftest import acceptance_report
 
 from wolearn import dgp, verify
 from wolearn.backbone import gradient_check
+from wolearn.cli import ExperimentSpec, run_cells
 from wolearn.core import always_treat, never_treat, split_dataset
 from wolearn.learners import prepare_cell, run_experiment
 from wolearn.pseudo import PseudoConfig
@@ -40,18 +38,15 @@ def _criterion(name, ok, detail):
 
 
 def _sweep(kind, axis, grid, learners, window):
-    # Each (value, seed) cell is a pure function of its config and seed, so
-    # two workers give the serial results; they are read back in seed order.
-    spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
-        futures = {value: [pool.submit(run_experiment, dgp.DgpConfig.make(kind, **{axis: value}),
-                                       seed=seed, learners=learners, floor=FLOOR,
-                                       window=window, pseudo_config=PSEUDO)
-                           for seed in SEEDS]
-                   for value in grid}
-        return {value: {k: float(np.mean([f.result()["rmse"][k] for f in cells]))
-                        for k in learners}
-                for value, cells in futures.items()}
+    # The sweep runs through the command line's own cell runner, two workers;
+    # each learner's RMSE is averaged over the seeds in seed order.
+    spec = ExperimentSpec(kind=kind, axis=axis, grid=grid, learners=learners, window=window,
+                          seeds=SEEDS, floor=FLOOR, clamp_rho=True)
+    results, failures = run_cells(spec, 2)
+    assert not failures, failures
+    return {value: {k: float(np.mean([results[value, seed]["rmse"][k] for seed in SEEDS]))
+                    for k in learners}
+            for value in spec.grid}
 
 
 @pytest.fixture(scope="module")

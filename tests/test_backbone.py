@@ -250,6 +250,8 @@ class TestNetworkIO:
 
 class TestHyperparameters:
     def test_validation(self):
-        for bad in (dict(learning_rate=0.0), dict(epochs=0), dict(batch_size=0)):
+        # dropout 1 drops every hidden unit and the masks' rescaling divides by 0
+        for bad in (dict(learning_rate=0.0), dict(epochs=0), dict(batch_size=0),
+                    dict(dropout=1.0), dict(dropout=-0.1)):
             with pytest.raises(ParameterError):
                 Hyperparameters(**bad)

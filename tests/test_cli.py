@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from wolearn.cli import ExperimentSpec, _check_consistency, main
+from wolearn.cli import SWEEP_COLUMNS, ExperimentSpec, _check_consistency, main
 from wolearn.core import Dataset, ParameterError
+from wolearn.dgp import ConfigError
 from wolearn.learners import run_experiment
 
 TINY = dict(kind="gamma", dgp={"n_train": 200, "n_test": 40, "T": 5},
@@ -23,6 +24,9 @@ class TestExperimentSpec:
     def test_empty_learners_rejected(self):
         with pytest.raises(ParameterError):
             ExperimentSpec(**{**TINY, "learners": []})
+        with pytest.raises(ParameterError, match="unknown learner"):
+            ExperimentSpec(**{**TINY, "learners": ["wo", "xgb"]})
+        assert ExperimentSpec(**{**TINY, "learners": ["ipw_nofloor"]}).learners == ("ipw_nofloor",)
 
     def test_off_grid_values_rejected(self):
         with pytest.raises(ParameterError):
@@ -41,8 +45,30 @@ class TestExperimentSpec:
         assert spec.config_for(4.0).n_train == 200
 
     def test_pseudo_config_flags(self):
-        spec = ExperimentSpec(**{**TINY, "clamp_rho": True, "rho_tau0_collapse": True})
-        assert spec.pseudo_config.clamp_rho and spec.pseudo_config.rho_tau0_collapse
+        spec = ExperimentSpec(**{**TINY, "clamp_rho": True})
+        assert spec.pseudo_config.clamp_rho and not spec.pseudo_config.rho_tau0_collapse
+
+    def test_bad_generator_settings_fail_when_built(self):
+        with pytest.raises(ConfigError, match="unknown generator setting"):
+            ExperimentSpec(**{**TINY, "dgp": {"seed": 3}})
+        # tau = 5 is on the reference grid, but gamma's T = 5 leaves no anchor
+        with pytest.raises(ConfigError, match="tau"):
+            ExperimentSpec(**{**TINY, "axis": "tau", "grid": [1, 5]})
+
+    def test_integer_axis_grid_normalized(self):
+        base = {**TINY, "kind": "n", "axis": "n_train"}
+        as_float = ExperimentSpec(**{**base, "grid": [2000.0]})
+        as_int = ExperimentSpec(**{**base, "grid": [2000]})
+        assert as_float == as_int and as_float.hash == as_int.hash
+        assert type(as_float.grid[0]) is int
+        with pytest.raises(ParameterError, match="integer"):
+            ExperimentSpec(**{**base, "grid": [2000.5], "allow_off_grid": True})
+
+    def test_window_normalized(self):
+        as_str = ExperimentSpec(**{**TINY, "window": "1"})
+        as_int = ExperimentSpec(**{**TINY, "window": 1})
+        assert as_str == as_int and as_str.hash == as_int.hash and as_str.window == 1
+        assert ExperimentSpec(**{**TINY, "window": "full"}).window == "full"
 
 
 class TestSimulateCommand:
@@ -64,6 +90,12 @@ class TestSimulateCommand:
         assert result.exit_code == 0, result.output
         assert (tmp_path / "n_seed0.jsonl").exists()
 
+    def test_seed_is_not_a_generator_setting(self, tmp_path):
+        result = CliRunner().invoke(main, ["simulate", "--dgp", '{"seed": 3}',
+                                           "--out-dir", str(tmp_path)])
+        assert isinstance(result.exception, ConfigError)
+        assert not list(tmp_path.iterdir())
+
 
 class TestRunCommand:
     def test_writes_artifacts(self, tmp_path):
@@ -84,8 +116,8 @@ class TestRunCommand:
         assert set(rows[0]) == {"id", "gamma", "rho", "xi", "omega_t", "guard_flag"}
 
     def test_scores_equal_run_experiment(self, tmp_path):
-        # Kind n has Monte Carlo truth: run and sweep must score one seed's
-        # cell against the same truth, so the RMSEs are equal, not close.
+        # run and sweep must score one seed's cell the same way, so the
+        # RMSEs are equal, not close.
         spec = ExperimentSpec(**{**TINY, "kind": "n", "out_dir": str(tmp_path)})
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps(spec.to_dict()))
@@ -93,7 +125,7 @@ class TestRunCommand:
         assert result.exit_code == 0, result.output
         metrics = json.loads((tmp_path / "n_seed0" / "metrics.json").read_text())["metrics"]
         expect = run_experiment(spec.config_for(), seed=0, learners=spec.learners, lam=spec.lam,
-                                pseudo_config=spec.pseudo_config, window=spec.window_value,
+                                pseudo_config=spec.pseudo_config, window=spec.window,
                                 floor=spec.floor)["rmse"]
         assert {m["learner"]: m["rmse"] for m in metrics} == expect
 
@@ -147,6 +179,22 @@ class TestSweepCommand:
         # drop the runtime column before comparing
         strip = lambda rows: [r[:-1] for r in rows]
         assert strip(rows1) == strip(rows2)
+
+    def test_failed_cells_are_recorded(self, tmp_path):
+        # 12 trajectories leave too few nuisance-split units per arm, so
+        # every cell fails at run time; the sweep still writes its artifacts
+        spec = {**TINY, "dgp": {"n_train": 12, "n_test": 40}, "axis": "gamma",
+                "grid": [2.0, 4.0], "seeds": [0, 1], "out_dir": str(tmp_path)}
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        result = CliRunner().invoke(main, ["sweep", "--spec", str(spec_file)])
+        assert result.exit_code == 1, result.output
+        csv_path = tmp_path / f"sweep_gamma_{ExperimentSpec(**spec).hash}.csv"
+        assert list(csv.reader(open(csv_path))) == [list(SWEEP_COLUMNS)]
+        failures = json.loads(csv_path.with_suffix(".json").read_text())["failures"]
+        assert [f["cell"] for f in failures] == [[2.0, 0], [2.0, 1], [4.0, 0], [4.0, 1]]
+        assert all("ParameterError" in f["error"] and "units take" in f["error"]
+                   for f in failures)
 
     def test_sweep_without_axis_rejected(self, tmp_path):
         runner = CliRunner()

@@ -37,6 +37,8 @@ class TestInterventionPlan:
             InterventionPlan(0, ())
         with pytest.raises(ParameterError):
             InterventionPlan(0, (0, 2))
+        with pytest.raises(ParameterError, match="negative"):
+            InterventionPlan(-1, (1, 1))
 
 
 class TestFeatures:

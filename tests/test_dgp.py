@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wolearn import dgp
-from wolearn.core import InterventionPlan, ParameterError, always_treat, never_treat
+from wolearn.core import ParameterError, always_treat, never_treat
 from wolearn.dgp import (
     ConfigError,
     DgpConfig,
@@ -19,6 +19,7 @@ from wolearn.dgp import (
     oracle_nuisances,
     outcome_mean,
     propensity_logit,
+    rollout,
     sigmoid,
     simulate,
 )
@@ -45,6 +46,25 @@ class TestConfig:
     def test_eval_anchor(self):
         assert DgpConfig.make("gamma", tau=1).eval_anchor == 3
         assert DgpConfig.make("pi", tau=7).eval_anchor == 7
+        assert DgpConfig.make("gamma", tau=0).eval_anchor == 4
+
+    def test_unknown_override_rejected(self):
+        for key in ("seed", "gama"):
+            with pytest.raises(ConfigError, match="unknown generator setting"):
+                DgpConfig.make("gamma", **{key: 3})
+
+    def test_horizon_outside_panel_rejected(self):
+        # gamma has T = 5: tau = 5 would put the anchor at -1
+        for tau in (5, -1):
+            with pytest.raises(ConfigError, match="tau"):
+                DgpConfig.make("gamma", tau=tau)
+        with pytest.raises(ConfigError, match="tau"):
+            DgpConfig.make("pi", T=3, tau=3)
+
+    @pytest.mark.parametrize("size", ["T", "d_x", "n_train", "n_test"])
+    def test_sizes_below_one_rejected(self, size):
+        with pytest.raises(ConfigError, match="at least 1"):
+            DgpConfig.make("gamma", **{size: 0})
 
 
 class TestSimulate:
@@ -59,6 +79,7 @@ class TestSimulate:
         d3 = simulate(cfg, seed=4)
         assert not np.array_equal(d1.y, d3.y)
         assert d1.meta["generator"] == "gamma" and d1.meta["seed"] == 3
+        assert "seed" not in d1.meta["config"]
 
     def test_covariate_marginals_stationary(self):
         # X_t = 0.5 X_{t-1} + eps with var(eps) = 0.75 keeps unit variance.
@@ -72,26 +93,32 @@ class TestSimulate:
         # under common noise leaves the covariate path untouched.
         cfg = DgpConfig.make("gamma", n_train=10)
         data = simulate(cfg, seed=1)
-        unit = data.subset([0])
-        a = conditional_rollout(cfg, unit, 1, always_treat(1, 2), m=50, seed=9)
-        b = conditional_rollout(cfg, unit, 1, never_treat(1, 2), m=50, seed=9)
+        state = State.from_dataset(data.subset([0]), 1).tile(50)
+        a, b = (rollout(cfg, state, 3, rng=np.random.default_rng(9), forced=[v] * 3)
+                for v in (1, 0))
         np.testing.assert_allclose(a["x"], b["x"])
         assert not np.allclose(a["y"], b["y"])
 
-    def test_conditional_rollout_obeys_plan(self):
+    def test_rollout_obeys_forced_treatments(self):
+        cfg = DgpConfig.make("gamma", n_train=5)
+        data = simulate(cfg, seed=2)
+        state = State.from_dataset(data.subset([2]), 2).tile(20)
+        out = rollout(cfg, state, 3, rng=np.random.default_rng(0), forced=[1, 0, 1])
+        np.testing.assert_array_equal(out["a"], np.tile([1.0, 0.0, 1.0], (20, 1)))
+
+    def test_conditional_rollout_runs_to_panel_end(self):
         cfg = DgpConfig.make("gamma", n_train=5)
         data = simulate(cfg, seed=2)
         unit = data.subset([2])
-        out = conditional_rollout(cfg, unit, 2, InterventionPlan(2, (1, 0, 1)), m=20, seed=0)
-        np.testing.assert_array_equal(out["a"], np.tile([1.0, 0.0, 1.0], (20, 1)))
-        with pytest.raises(HorizonError):
-            conditional_rollout(cfg, unit, 2, always_treat(2, 5), m=5)
+        out = conditional_rollout(cfg, unit, 2, m=20, seed=0)
+        assert out["y"].shape == (20, cfg.T - 2) and set(np.unique(out["a"])) <= {0.0, 1.0}
+        np.testing.assert_array_equal(out["x"][:, 0], np.repeat(unit.x[:, 2], 20, axis=0))
+        again = conditional_rollout(cfg, unit, 2, m=20, seed=0)
+        np.testing.assert_array_equal(out["y"], again["y"])
         with pytest.raises(ParameterError):
-            conditional_rollout(cfg, unit, 1, always_treat(2, 1), m=5)  # plan off the anchor
-        with pytest.raises(ParameterError):
-            conditional_rollout(cfg, data.subset([0, 1]), 2, always_treat(2, 1), m=5)
+            conditional_rollout(cfg, data.subset([0, 1]), 2, m=5, seed=0)
         with pytest.raises(IndexError):
-            conditional_rollout(cfg, unit, cfg.T, "observational", m=5)
+            conditional_rollout(cfg, unit, cfg.T, m=5, seed=0)
 
     def test_presample_lags_are_zero_sentinels(self):
         # At anchor 0 the lags X_{-1}, Y_{-1}, A_{-1} are zero, and a
@@ -105,11 +132,13 @@ class TestSimulate:
             assert not lag.any()
         with pytest.raises(IndexError):  # not the last column
             State.from_dataset(data, -1)
-        out = conditional_rollout(cfg, data.subset([1]), 0, "observational", m=7, seed=0)
+        out = conditional_rollout(cfg, data.subset([1]), 0, m=7, seed=0)
         assert out["y"].shape == (7, cfg.T) and np.isfinite(out["y"]).all()
         np.testing.assert_array_equal(out["x"][:, 0], np.repeat(data.x[1:2, 0], 7, axis=0))
         m = 4000
-        planned = conditional_rollout(cfg, data.subset([1]), 0, always_treat(0, 1), m=m)
+        state = State.from_dataset(data.subset([1]), 0).tile(m)
+        rng = np.random.default_rng(np.random.SeedSequence((0, 0xA0)))
+        planned = rollout(cfg, state, 2, rng=rng, forced=[1, 1])
         np.testing.assert_array_equal(planned["a"], 1.0)
         # the mu family's outcome reads X_{t-1}, so Y_0 sees the zero sentinel
         expect = outcome_mean(cfg, data.x[1:2, 0], np.zeros((1, cfg.d_x)), 1.0)[0]

@@ -55,6 +55,9 @@ class TestOracleBacked:
         assert raw.pi.min() < 0.05
         assert floored.pi.min() >= 0.05
         np.testing.assert_allclose(floored.pi, np.clip(raw.pi, 0.05, 1.0))
+        for bad in (1.0, 2.0, -0.1):  # a floor of 1 or more sets every pi to 1
+            with pytest.raises(ParameterError, match="floor"):
+                raw.floored(bad)
 
     def test_floor_zero_keeps_pi_positive(self):
         # A saturated propensity makes 1 - p1 exactly 0; at floor 0 the

@@ -6,8 +6,8 @@ from hypothesis.extra.numpy import arrays
 
 from wolearn.core import always_treat, never_treat
 from wolearn.nuisance import NuisanceEvaluation
+from wolearn import pseudo
 from wolearn.pseudo import (
-    PseudoConfig,
     cate_pseudo,
     gamma_plan,
     ipw_transform,
@@ -118,14 +118,15 @@ class TestContrastPseudoOutcomes:
         # the linear risk coefficient equals rho * xi without the guard
         np.testing.assert_allclose(risk_linear_term(po)[ok], (po.rho * po.xi)[ok], rtol=1e-10)
 
-    def test_guarded_xi_formula_and_bounded_linear_term(self):
+    def test_guarded_xi_formula_and_bounded_linear_term(self, monkeypatch):
         # Where |rho| < eps the ratio denominator is replaced by
         # sign(rho) * eps; the linear risk coefficient never divides.
         ev_a = _random_eval(n=20, steps=1, seed=16)
         ev_b = _random_eval(n=20, steps=1, seed=26, plan=never_treat(0, 0))
         y = np.random.default_rng(17).normal(size=20) * 10
+        monkeypatch.setattr(pseudo, "EPS_RHO", 0.5)
         with pytest.warns(UserWarning, match="guard"):
-            po = cate_pseudo(ev_a, ev_b, y, PseudoConfig(eps_rho=0.5))
+            po = cate_pseudo(ev_a, ev_b, y)
         hit = po.guard_flag
         assert hit.any() and not hit.all()
         guarded = np.where(po.rho < 0, -1.0, 1.0) * np.maximum(np.abs(po.rho), 0.5)
@@ -135,15 +136,16 @@ class TestContrastPseudoOutcomes:
         assert np.isfinite(q).all()
         np.testing.assert_allclose(q, po.rho * po.mu + po.omega * (po.gamma - po.mu))
 
-    def test_guard_flag_and_warning(self):
+    def test_guard_flag_and_warning(self, monkeypatch):
         # tau=0 with complementary arms (pi_b = 1 - pi_a, I_b = 1 - I_a) and
         # the default indicator convention: rho^{ab} = (A - pi_a)^2, so the
         # units whose treatment the propensity predicted well are guarded
         ev_a = _random_eval(n=40, steps=1, seed=18)
         ev_b = NuisanceEvaluation(never_treat(0, 0), 1.0 - ev_a.pi, 1.0 - ev_a.ind,
                                   ev_a.mu, ev_a.w_next)
+        monkeypatch.setattr(pseudo, "EPS_RHO", 0.1)
         with pytest.warns(UserWarning, match="guard"):
-            po = cate_pseudo(ev_a, ev_b, np.zeros(40), PseudoConfig(eps_rho=0.1))
+            po = cate_pseudo(ev_a, ev_b, np.zeros(40))
         residual2 = (ev_a.ind[:, 0] - ev_a.pi[:, 0]) ** 2
         np.testing.assert_allclose(po.rho, residual2, rtol=1e-12, atol=1e-15)
         np.testing.assert_array_equal(po.guard_flag, np.abs(po.rho) < 0.1)

@@ -25,7 +25,7 @@ import click
 import numpy as np
 
 from . import dgp, verify
-from .core import ParameterError
+from .core import ParameterError, check_floor, check_lambda, check_window
 from .learners import LEARNERS, build_cell, evaluate_rmse, run_experiment, train_learner
 from .nuisance import PROPENSITY_FLOOR
 from .pseudo import PseudoConfig, cate_pseudo
@@ -39,8 +39,7 @@ AXIS_GRIDS = {
     "n_train": (2000, 3000, 4000, 5000, 6000, 7000, 8000),
 }
 
-SWEEP_COLUMNS = ("learner", "axis_value", "rmse_mean", "rmse_sd",
-                 "rel_improv_pct", "guard_rate", "seconds")
+SWEEP_COLUMNS = ("learner", "axis_value", "rmse_mean", "rmse_sd", "rel_improv_pct", "seconds")
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,8 @@ class ExperimentSpec:
 
     def __post_init__(self):
         # an integer axis's grid and the window become ints, and every grid
-        # value's DgpConfig is built, so a bad spec fails before any cell runs
+        # value's DgpConfig is built and its T bounds the window, so a bad
+        # spec fails before any cell runs
         grid = tuple(int(v) if self.axis in ("tau", "d_x", "n_train") else v
                      for v in self.grid)
         if grid != tuple(self.grid):
@@ -74,6 +74,13 @@ class ExperimentSpec:
             object.__setattr__(self, "window", int(self.window))
         if not self.learners:
             raise ParameterError("learner list must not be empty")
+        if not self.seeds or len(set(self.seeds)) < len(self.seeds) or min(self.seeds) < 0:
+            raise ParameterError(f"seeds {list(self.seeds)} must be distinct, non-negative "
+                                 "and at least one")
+        if len(set(self.grid)) < len(self.grid):
+            raise ParameterError(f"grid {list(self.grid)} repeats a value")
+        check_floor(self.floor)
+        check_lambda(self.lam)
         unknown = set(self.learners) - set(LEARNERS + ("ipw_nofloor",))
         if unknown:
             raise ParameterError(f"unknown learner(s) {sorted(unknown)}")
@@ -89,7 +96,7 @@ class ExperimentSpec:
                         f"grid values {bad} outside the reference grid for {self.axis!r}; "
                         "pass --allow-off-grid to override")
         for value in self.grid if self.axis != "none" else (None,):
-            self.config_for(value)
+            check_window(self.window, self.config_for(value).T)
 
     @property
     def pseudo_config(self) -> PseudoConfig:
@@ -213,7 +220,7 @@ def run(spec_path, seed, **overrides):
     cell, test, truth = build_cell(config, seed=seed, lam=spec.lam, window=spec.window,
                                    floor=spec.floor)
 
-    po = cate_pseudo(cell.ev_a, cell.ev_b, cell.y_final, spec.pseudo_config)
+    po = cate_pseudo(cell.ev_a, cell.ev_b, cell.y_final)
     po.to_csv(out / "pseudo_outcomes.csv", ids=cell.stage2.ids)
 
     metrics = []
@@ -224,7 +231,7 @@ def run(spec_path, seed, **overrides):
         model.network.save(out / f"model_{name}.npz")
         metrics.append({
             "learner": name, "dgp": spec.kind, "params": config.to_dict(), "seed": seed,
-            "rmse": rmse, "guard_rate": model.guard_rate, "wallclock": time.time() - t0,
+            "rmse": rmse, "wallclock": time.time() - t0,
         })
         click.echo(f"{name}: rmse={rmse:.4f}")
     (out / "metrics.json").write_text(json.dumps(
@@ -278,16 +285,14 @@ def _aggregate(spec: ExperimentSpec, results: dict):
             rmses = [c["rmse"][name] for c in cells]
             per_learner[name] = (float(np.mean(rmses)),
                                  float(np.std(rmses, ddof=1)) if len(rmses) > 1 else 0.0,
-                                 float(np.mean([c["guard_rate"] for c in cells])),
                                  float(np.sum([c["seconds"] for c in cells])))
         baselines = {k: v[0] for k, v in per_learner.items() if k != "wo"}
         best_baseline = min(baselines.values()) if baselines else None
-        for name, (mean, sd, guard, secs) in per_learner.items():
+        for name, (mean, sd, secs) in per_learner.items():
             rel = ""
             if name == "wo" and best_baseline:
                 rel = round(100.0 * (best_baseline - mean) / best_baseline, 2)
-            rows.append([name, value, round(mean, 6), round(sd, 6), rel,
-                         round(guard, 6), round(secs, 2)])
+            rows.append([name, value, round(mean, 6), round(sd, 6), rel, round(secs, 2)])
     return rows
 
 

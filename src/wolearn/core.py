@@ -116,6 +116,27 @@ class Dataset:
         return cls(np.array(xs), np.array(as_), np.array(ys), ids=ids, meta=header.get("meta", {}))
 
 
+def check_window(window, T: int) -> int:
+    """The number of history steps a feature window spans: T for "full",
+    otherwise the window itself, which must lie in [1, T]."""
+    w = T if window == "full" else int(window)
+    if not 1 <= w <= T:
+        raise ParameterError(f"window must be in [1, T={T}]")
+    return w
+
+
+def check_lambda(lam: float) -> None:
+    """The stage-2 split fraction must lie in (0, 1)."""
+    if not 0.0 < lam < 1.0:
+        raise ParameterError("lambda must be in (0, 1)")
+
+
+def check_floor(floor: float) -> None:
+    """A propensity floor must lie in [0, 1): at 1 or more every pi is 1."""
+    if not 0.0 <= floor < 1.0:
+        raise ParameterError(f"propensity floor {floor} outside [0, 1)")
+
+
 def feature_matrix(data: Dataset, anchor: int, window="full") -> np.ndarray:
     """Featurized histories H_anchor for all units, shape (n, D).
 
@@ -127,9 +148,7 @@ def feature_matrix(data: Dataset, anchor: int, window="full") -> np.ndarray:
     T, d_x, n = data.T, data.d_x, data.n
     if not 0 <= anchor < T:
         raise IndexError(f"anchor {anchor} out of range [0, {T})")
-    w = T if window == "full" else int(window)
-    if w < 1 or w > T:
-        raise ParameterError(f"window must be in [1, T={T}]")
+    w = check_window(window, T)
     steps = np.arange(anchor - w + 1, anchor + 1)
     valid = steps >= 0
     lag_valid = steps >= 1
@@ -150,8 +169,7 @@ def split_dataset(data: Dataset, lam: float, seed: int):
     The stage-2 split gets floor(lam * n) units; the permutation is a pure
     function of the seed.
     """
-    if not 0.0 < lam < 1.0:
-        raise ParameterError("lambda must be in (0, 1)")
+    check_lambda(lam)
     n = data.n
     n_stage2 = int(np.floor(lam * n))
     if not 0 < n_stage2 < n:

@@ -5,8 +5,8 @@ Y_{t+tau}(plan b) | H_t = h_t] and reduce it to a regression of some
 pseudo-outcome on history features:
 
   wo   overlap-weighted orthogonal learner: split the data, fit nuisances
-       on one half, build (xi, rho) on the other, minimize the weighted
-       squared error sum rho_i (xi_i - g(H_t,i))^2 / sum rho_i;
+       on one half, build (rho, q) on the other, minimize the weighted
+       risk sum_i [rho_i g(H_t,i)^2 - 2 q_i g(H_t,i)] / sum_i rho_i;
   dr   unweighted regression on the doubly-robust contrast gamma^{ab};
   ipw  regression on the inverse-propensity transform;
   ra   distillation of the plug-in response contrast mu_t^a - mu_t^b;
@@ -104,7 +104,6 @@ class CateModel:
     plan_a: InterventionPlan
     plan_b: InterventionPlan
     window: str = "full"
-    guard_rate: float = 0.0
     plan_feature: bool = False  # ha appends plan treatments to the features
 
     def predict(self, data: Dataset) -> np.ndarray:
@@ -125,9 +124,7 @@ def train_wo(cell: Cell, hp=None, pseudo_config: PseudoConfig = PseudoConfig(),
              seed=0) -> CateModel:
     """Second stage of the overlap-weighted orthogonal learner."""
     hp = replace(hp or backbone.Hyperparameters(), dropout=STAGE2_DROPOUT)
-    po = cate_pseudo(cell.ev_a, cell.ev_b, cell.y_final, pseudo_config)
-    # Optimize the expanded product form of the weighted risk: its
-    # coefficients stay bounded where the ratio target xi does not.
+    po = cate_pseudo(cell.ev_a, cell.ev_b, cell.y_final)
     weights = po.rho
     linear = risk_linear_term(po)
     if pseudo_config.clamp_rho:
@@ -136,7 +133,7 @@ def train_wo(cell: Cell, hp=None, pseudo_config: PseudoConfig = PseudoConfig(),
         linear = np.where(keep, linear, 0.0)
     net = backbone.fit_weighted_quadratic(cell.stage2_features, weights, linear,
                                           hp=replace(hp, seed=_child_seed(seed, 0x10, 0)))
-    return CateModel("wo", net, cell.plan_a, cell.plan_b, cell.window, po.guard_rate)
+    return CateModel("wo", net, cell.plan_a, cell.plan_b, cell.window)
 
 
 def train_baseline(cell: Cell, name: str, hp=None, seed=0) -> CateModel:
@@ -206,13 +203,11 @@ def build_cell(config, seed=0, lam=0.5, hp=None, window="full", floor=PROPENSITY
 def run_experiment(config, seed=0, learners=LEARNERS, lam=0.5, hp=None,
                    pseudo_config=PseudoConfig(), window="full", floor=PROPENSITY_FLOOR):
     """One full cell: build it, fit every learner, score against ground
-    truth. Returns {learner: rmse} plus guard-rate info."""
+    truth. Returns {"seed": seed, "rmse": {learner: rmse}}."""
     cell, test, truth = build_cell(config, seed=seed, lam=lam, hp=hp, window=window,
                                    floor=floor)
-    result = {"seed": seed, "rmse": {}, "guard_rate": 0.0}
+    result = {"seed": seed, "rmse": {}}
     for name in learners:
         model = train_learner(cell, name, hp=hp, pseudo_config=pseudo_config, seed=seed)
         result["rmse"][name] = evaluate_rmse(model, test, truth)
-        if name == "wo":
-            result["guard_rate"] = model.guard_rate
     return result

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import backbone
-from .core import Dataset, InterventionPlan, ParameterError, feature_matrix
+from .core import Dataset, InterventionPlan, ParameterError, check_floor, feature_matrix
 
 PROPENSITY_FLOOR = 1e-3
 WEIGHT_CLAMP = (0.0, 1.0)  # tail weights are probabilities; never divided by
@@ -68,8 +68,7 @@ class NuisanceEvaluation:
 
     def floored(self, floor: float) -> "NuisanceEvaluation":
         """A copy with pi clipped to [floor, 1]; the other arrays are shared."""
-        if not 0.0 <= floor < 1.0:
-            raise ParameterError(f"propensity floor {floor} outside [0, 1)")
+        check_floor(floor)
         return replace(self, pi=np.clip(self.pi, floor, 1.0))
 
     @classmethod

@@ -9,41 +9,37 @@ responses mu_j, and tail weights W_{j+1} (each per unit per step):
   rho   = prod_j pi_j + sum_j (I_j - pi_j) W_{j+1}(H_j) prod_{k<j} pi_k
   omega_t = pi_t W_{t+1}(H_t)
 
-with empty products equal to 1. gamma is conditionally unbiased for mu_t
-given the history; rho is conditionally unbiased for omega_t. For a
-contrast of plans a over b:
+with empty products equal to 1, so at tau = 0 rho = I_t. gamma is
+conditionally unbiased for mu_t given the history; rho is conditionally
+unbiased for omega_t. For a contrast of plans a over b:
 
   gamma^{ab} = gamma^a - gamma^b,    mu^{ab} = mu_t^a - mu_t^b,
   rho^{ab} = rho^a omega_t^b + rho^b omega_t^a - omega_t^a omega_t^b,
-  omega^{ab} = omega_t^a omega_t^b,
-  xi = mu + (omega / rho) (gamma - mu),
+  omega^{ab} = omega_t^a omega_t^b.
 
-where the division is guarded: |rho| below EPS_RHO is replaced by
-sign(rho) * EPS_RHO and the unit flagged. At tau = 0 the middle term of
-rho admits two conventions for its leading empty product; with
-`rho_tau0_collapse` it is dropped entirely so rho = pi_t, otherwise the
-empty-product-one convention yields rho = I_t. Both make rho
-conditionally unbiased for pi_t and the weighted objective reduces to an
-R-learner form either way.
+The second stage minimizes the overlap-weighted risk in its product form
+
+  sum_i [rho_i g_i^2 - 2 q_i g_i],    q = rho mu + omega (gamma - mu),
+
+whose coefficients rho and q (`risk_linear_term`) stay bounded wherever
+the nuisances do. The ratio target q / rho is never formed, so no
+denominator needs a guard. At tau = 0 with complementary arms rho^{ab} =
+(A_t - pi_t)^2 and q = (Y - m)(A_t - pi_t), with m = pi_t mu^a + (1 - pi_t)
+mu^b: the objective is the R-learner's residual-on-residual loss.
 """
 
 from __future__ import annotations
 
 import csv
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .nuisance import NuisanceEvaluation
 
-GUARD_RATE_WARN = 0.20
-EPS_RHO = 1e-6
-
 
 @dataclass(frozen=True)
 class PseudoConfig:
-    rho_tau0_collapse: bool = False
     # Clamp negative rho to zero when used as second-stage weights. rho is
     # conditionally unbiased for omega >= 0 but individual draws go
     # negative; negative weights make the empirical weighted objective
@@ -54,31 +50,23 @@ class PseudoConfig:
 
 @dataclass
 class PseudoOutcomes:
-    """Per-unit second-stage quantities: regress xi on history features with
-    sample weights rho."""
+    """Per-unit second-stage quantities of a plan contrast: the weighted
+    risk's coefficients are rho and `risk_linear_term`."""
 
     gamma: np.ndarray
     rho: np.ndarray
     omega: np.ndarray
     mu: np.ndarray
-    xi: np.ndarray
-    guard_flag: np.ndarray
-
-    @property
-    def guard_rate(self) -> float:
-        return float(self.guard_flag.mean())
 
     def to_csv(self, path, ids=None):
-        ids = np.arange(len(self.xi)) if ids is None else ids
+        """One row per unit: its id, then one column per field."""
+        names = [f.name for f in fields(self)]
+        ids = np.arange(len(self.rho)) if ids is None else ids
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
-            w.writerow(["id", "gamma", "rho", "xi", "omega_t", "guard_flag"])
-            for i in range(len(self.xi)):
-                w.writerow(
-                    [int(ids[i]), repr(float(self.gamma[i])), repr(float(self.rho[i])),
-                     repr(float(self.xi[i])), repr(float(self.omega[i])),
-                     int(self.guard_flag[i])]
-                )
+            w.writerow(["id", *names])
+            for i, row in enumerate(zip(*(getattr(self, name) for name in names))):
+                w.writerow([int(ids[i]), *(repr(float(v)) for v in row)])
 
 
 def gamma_plan(ev: NuisanceEvaluation, y_final: np.ndarray) -> np.ndarray:
@@ -90,11 +78,8 @@ def gamma_plan(ev: NuisanceEvaluation, y_final: np.ndarray) -> np.ndarray:
     return lead[:, -1] * ratio[:, -1] * y_final + np.sum(ev.mu * (1.0 - ratio) * lead, axis=1)
 
 
-def rho_plan(ev: NuisanceEvaluation, collapse_tau0: bool = False) -> np.ndarray:
+def rho_plan(ev: NuisanceEvaluation) -> np.ndarray:
     """Overlap-weight pseudo-outcome; conditionally unbiased for omega_t."""
-    steps = ev.pi.shape[1]
-    if steps == 1 and collapse_tau0:
-        return ev.pi[:, 0].copy()
     lead = np.cumprod(ev.pi[:, :-1], axis=1)
     lead = np.concatenate([np.ones((ev.pi.shape[0], 1)), lead], axis=1)
     full = lead[:, -1] * ev.pi[:, -1]
@@ -106,41 +91,16 @@ def ipw_transform(ev_a: NuisanceEvaluation, ev_b: NuisanceEvaluation, y_final) -
     return (np.prod(ev_a.ind / ev_a.pi, axis=1) - np.prod(ev_b.ind / ev_b.pi, axis=1)) * y_final
 
 
-def _guarded(rho: np.ndarray, eps: float):
-    sign = np.where(rho < 0.0, -1.0, 1.0)
-    flag = np.abs(rho) < eps
-    return sign * np.maximum(np.abs(rho), eps), flag
-
-
-def cate_pseudo(ev_a: NuisanceEvaluation, ev_b: NuisanceEvaluation, y_final,
-                config: PseudoConfig = PseudoConfig()):
+def cate_pseudo(ev_a: NuisanceEvaluation, ev_b: NuisanceEvaluation, y_final) -> PseudoOutcomes:
     """Pseudo-outcomes targeting the effect contrast of plan a over plan b."""
     gamma = gamma_plan(ev_a, y_final) - gamma_plan(ev_b, y_final)
-    rho_a = rho_plan(ev_a, collapse_tau0=config.rho_tau0_collapse)
-    rho_b = rho_plan(ev_b, collapse_tau0=config.rho_tau0_collapse)
     om_a, om_b = ev_a.omega_t, ev_b.omega_t
-    rho = rho_a * om_b + rho_b * om_a - om_a * om_b
-    omega = om_a * om_b
-    mu = ev_a.mu[:, 0] - ev_b.mu[:, 0]
-    rho_g, flag = _guarded(rho, EPS_RHO)
-    out = PseudoOutcomes(gamma, rho, omega, mu, mu + omega / rho_g * (gamma - mu), flag)
-    _warn_guard(out)
-    return out
+    rho = rho_plan(ev_a) * om_b + rho_plan(ev_b) * om_a - om_a * om_b
+    return PseudoOutcomes(gamma, rho, om_a * om_b, ev_a.mu[:, 0] - ev_b.mu[:, 0])
 
 
 def risk_linear_term(out: PseudoOutcomes) -> np.ndarray:
-    """Per-unit linear coefficient rho*mu + omega*(gamma - mu) of the
-    weighted risk's dependence on the fitted function: the guard-free
-    product rho * xi. With the quadratic coefficient rho it determines the
-    objective up to a constant, and both stay bounded where xi itself does
-    not."""
+    """Per-unit linear coefficient q = rho*mu + omega*(gamma - mu) of the
+    weighted risk's dependence on the fitted function. With the quadratic
+    coefficient rho it determines the objective up to a constant."""
     return out.rho * out.mu + out.omega * (out.gamma - out.mu)
-
-
-def _warn_guard(out: PseudoOutcomes):
-    if out.guard_rate > GUARD_RATE_WARN:
-        warnings.warn(
-            f"denominator guard hit for {100 * out.guard_rate:.1f}% of units; "
-            "overlap is likely too poor for a reliable fit",
-            stacklevel=3,
-        )

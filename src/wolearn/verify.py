@@ -19,9 +19,8 @@ error:
                       perturbations, while the plug-in and
                       inverse-propensity objectives respond at first order;
   tau = 0 reduction   with a single-step plan and complementary arms the
-                      machinery reduces to the residual-on-residual
-                      (R-learner) objective, with convention-dependent
-                      pointwise or conditional-mean identities; the
+                      risk coefficients are pointwise those of the
+                      residual-on-residual (R-learner) objective; the
                       conditional mean E[rho | H] = pi (1 - pi) runs
                       through the same per-history harness as above.
 
@@ -45,8 +44,7 @@ import numpy as np
 from . import dgp
 from .core import Dataset, ParameterError, always_treat, never_treat
 from .nuisance import OracleBackedNuisances
-from .pseudo import (PseudoConfig, cate_pseudo, gamma_plan, ipw_transform,
-                     rho_plan, risk_linear_term)
+from .pseudo import cate_pseudo, gamma_plan, ipw_transform, rho_plan, risk_linear_term
 
 Z_CONDITIONAL = 4.0
 MIN_PASS_CONDITIONAL = 0.95
@@ -163,8 +161,8 @@ def check_conditional_mean_gamma(seed=0, n_histories=50, m=20000, config=None,
 
 def check_conditional_mean_rho(seed=0, n_histories=50, m=20000, config=None) -> DiagnosticReport:
     """E[rho | H] = omega per history (single plan and contrast), plus the
-    induced identity E[rho xi | H] = omega^{ab} * effect via the guard-free
-    product form."""
+    induced identity E[q | H] = omega^{ab} * effect for the weighted risk's
+    linear coefficient q = `risk_linear_term`."""
 
     def stats(ev_a, ev_b, y_final, targets):
         mu_a, mu_b, om_a, om_b = targets
@@ -199,8 +197,8 @@ def check_risk_equivalence(seed=0, n=200000, config=None, candidates=None) -> Di
 
     Risk differences are computed in the expanded product form
     rho (mu - g)^2 + 2 omega (gamma - mu)(mu - g) whose g-dependent part
-    equals that of the guarded weighted loss. A single-candidate menu
-    passes vacuously."""
+    equals that of the weighted risk rho g^2 - 2 q g. A single-candidate
+    menu passes vacuously."""
     config = config or dgp.DgpConfig.make("gamma", gamma=2.0)
     t, tau = config.eval_anchor, config.tau
     plan_a, plan_b = always_treat(t, tau), never_treat(t, tau)
@@ -262,8 +260,8 @@ def check_orthogonality(seed=0, n=200000, config=None) -> DiagnosticReport:
     perturbations of size r, on common random numbers.
 
     The statistic is the risk derivative at a fixed g != truth in a fixed
-    direction dg: phi(r) = -2 E[rho (xi - g) dg] for the weighted objective
-    (computed in the guard-free product form), and the plug-in analogues
+    direction dg: phi(r) = -2 E[(q - rho g) dg] for the weighted objective,
+    with q = `risk_linear_term`, and the plug-in analogues
     for the response and inverse-propensity objectives. The weighted
     objective must respond at second order (log-log slope >=
     SLOPE_ORTHOGONAL) or not detectably at all ("inconclusive": the
@@ -363,13 +361,12 @@ def check_r_learner_reduction(seed=0, n=4000, m=100000, n_histories=10,
                               config=None) -> DiagnosticReport:
     """Single-step (tau = 0) reduction for complementary arms.
 
-    Verifies (i) omega^{ab} = pi (1 - pi) pointwise; (ii) rho^{ab} =
-    pi (1 - pi) pointwise under the collapsed convention and in conditional
-    mean under the empty-product-one convention; (iii) xi = gamma^{ab}
-    pointwise under the collapsed convention; and that under the
-    empty-product-one convention the weighted per-sample loss coincides
-    exactly with the residual-on-residual loss for every candidate
-    function."""
+    Verifies pointwise (i) omega^{ab} = pi (1 - pi); (ii) rho^{ab} =
+    (A - pi)^2; (iii) the linear risk coefficient q = (Y - m)(A - pi), with
+    m = pi mu_a + (1 - pi) mu_b. (ii) and (iii) make the weighted
+    per-sample loss rho g^2 - 2 q g equal to the residual-on-residual loss
+    (Y - m - (A - pi) g)^2 minus (Y - m)^2, for every candidate g. In
+    conditional mean, E[rho | H] = pi (1 - pi) per history."""
     config = config or dgp.DgpConfig.make("gamma", tau=0)
     if config.tau != 0:
         raise ParameterError("the R-learner reduction needs a tau = 0 configuration")
@@ -381,34 +378,16 @@ def check_r_learner_reduction(seed=0, n=4000, m=100000, n_histories=10,
     ev_a, ev_b = na.evaluate(data, floor=0.0), nb.evaluate(data, floor=0.0)
 
     e = ev_a.pi[:, 0]
-    a = data.a[:, t].astype(float)
-    mu_a, mu_b = ev_a.mu[:, 0], ev_b.mu[:, 0]
-    m_bar = e * mu_a + (1.0 - e) * mu_b
-    resid_y, resid_a = y - m_bar, a - e
-
-    # (i) contrast overlap weight
-    omega_ab = ev_a.omega_t * ev_b.omega_t
-    err_omega = float(np.max(np.abs(omega_ab - e * (1.0 - e))))
-
-    # collapsed convention: rho pointwise, xi = gamma pointwise
-    po_c = cate_pseudo(ev_a, ev_b, y, PseudoConfig(rho_tau0_collapse=True))
-    err_rho_c = float(np.max(np.abs(po_c.rho - e * (1.0 - e))))
-    err_xi_c = float(np.max(np.abs(po_c.xi - po_c.gamma)))
-
-    # empty-product-one convention: exact per-sample loss identity
+    m_bar = e * ev_a.mu[:, 0] + (1.0 - e) * ev_b.mu[:, 0]
+    resid_y, resid_a = y - m_bar, data.a[:, t] - e
     po = cate_pseudo(ev_a, ev_b, y)
-    x = np.mean(data.x[:, t, :], axis=-1)
+    err_omega = float(np.max(np.abs(po.omega - e * (1.0 - e))))
+    err_rho = float(np.max(np.abs(po.rho - resid_a**2)))
     scale = float(np.mean(resid_y**2)) + 1.0
-    worst_exact = 0.0
-    for g in (np.zeros(n), np.full(n, 0.3), 0.5 * np.sin(x)):
-        wo_loss = po.rho * (po.xi - g) ** 2
-        r_loss = (resid_y - resid_a * g) ** 2
-        worst_exact = max(worst_exact, float(np.max(np.abs(wo_loss - r_loss))) / scale)
-    pointwise_ok = (max(err_omega, err_rho_c, err_xi_c) <= TOL_POINTWISE
-                    and worst_exact <= TOL_POINTWISE and not po.guard_flag.any())
+    err_linear = float(np.max(np.abs(risk_linear_term(po) - resid_y * resid_a))) / scale
+    err_max = max(err_omega, err_rho, err_linear)
 
-    # empty-product-one convention: E[rho | H] = omega^{ab} = pi (1 - pi)
-    # per history; every history must pass
+    # E[rho | H] = omega^{ab} = pi (1 - pi) per history; every history must pass
     def stats(ev_a, ev_b, y_final, targets):
         _, _, om_a, om_b = targets
         return {"rho_cate": (cate_pseudo(ev_a, ev_b, y_final).rho, om_a * om_b)}
@@ -419,11 +398,11 @@ def check_r_learner_reduction(seed=0, n=4000, m=100000, n_histories=10,
 
     return DiagnosticReport(
         "r_learner_reduction",
-        pointwise_ok and mean_rep.passed,
-        f"pointwise max err {max(err_omega, err_rho_c, err_xi_c, worst_exact):.2e} "
+        err_max <= TOL_POINTWISE and mean_rep.passed,
+        f"pointwise max err {err_max:.2e} "
         f"(tol {TOL_POINTWISE}); E[rho|H] worst |z| = {worst_z:.2f} over {n_histories} histories",
-        {"err_omega": err_omega, "err_rho_collapse": err_rho_c, "err_xi_collapse": err_xi_c,
-         "exact_loss_max_rel_err": worst_exact, "rho_mean_worst_z": worst_z},
+        {"err_omega": err_omega, "err_rho": err_rho, "err_linear_term": err_linear,
+         "rho_mean_worst_z": worst_z},
     )
 
 

@@ -181,7 +181,7 @@ class TestCriterion7Orthogonality:
 
 
 class TestCriterion8RLearnerReduction:
-    def test_8_tau0_reduction_both_conventions(self):
+    def test_8_tau0_reduction(self):
         rep = verify.check_r_learner_reduction(seed=0)
         _criterion("8 tau=0 R-learner reduction", rep.passed, rep.summary)
 

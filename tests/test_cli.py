@@ -14,6 +14,11 @@ TINY = dict(kind="gamma", dgp={"n_train": 200, "n_test": 40, "T": 5},
             learners=["wo", "ra"], seeds=[0], window="1")
 
 
+def _read_rows(path):
+    with open(path, newline="") as f:
+        return list(csv.reader(f))
+
+
 class TestExperimentSpec:
     def test_defaults_and_hash_stability(self):
         s1 = ExperimentSpec(**TINY)
@@ -46,7 +51,8 @@ class TestExperimentSpec:
 
     def test_pseudo_config_flags(self):
         spec = ExperimentSpec(**{**TINY, "clamp_rho": True})
-        assert spec.pseudo_config.clamp_rho and not spec.pseudo_config.rho_tau0_collapse
+        assert spec.pseudo_config.clamp_rho
+        assert not ExperimentSpec(**TINY).pseudo_config.clamp_rho
 
     def test_bad_generator_settings_fail_when_built(self):
         with pytest.raises(ConfigError, match="unknown generator setting"):
@@ -63,6 +69,22 @@ class TestExperimentSpec:
         assert type(as_float.grid[0]) is int
         with pytest.raises(ParameterError, match="integer"):
             ExperimentSpec(**{**base, "grid": [2000.5], "allow_off_grid": True})
+
+    @pytest.mark.parametrize("fault, match", [
+        ({"window": 0}, "window"),
+        ({"window": 99}, "window"),  # gamma's T is 5
+        ({"floor": 2.0}, "floor"),
+        ({"floor": -0.1}, "floor"),
+        ({"lam": 1.5}, "lambda"),
+        ({"lam": 0.0}, "lambda"),
+        ({"seeds": []}, "seeds"),
+        ({"seeds": [0, 0]}, "seeds"),
+        ({"seeds": [-1]}, "seeds"),
+        ({"axis": "gamma", "grid": [2.0, 4.0, 2.0]}, "repeats"),
+    ])
+    def test_faults_fail_when_built(self, fault, match):
+        with pytest.raises(ParameterError, match=match):
+            ExperimentSpec(**{**TINY, **fault})
 
     def test_window_normalized(self):
         as_str = ExperimentSpec(**{**TINY, "window": "1"})
@@ -107,13 +129,15 @@ class TestRunCommand:
         out = tmp_path / "gamma_seed0"
         metrics = json.loads((out / "metrics.json").read_text())
         assert {m["learner"] for m in metrics["metrics"]} == {"wo", "ra"}
+        assert all(set(m) == {"learner", "dgp", "params", "seed", "rmse", "wallclock"}
+                   for m in metrics["metrics"])
         assert all(np.isfinite(m["rmse"]) for m in metrics["metrics"])
         assert metrics["spec_hash"]
         assert (out / "model_wo.npz").exists() and (out / "model_ra.npz").exists()
         with open(out / "pseudo_outcomes.csv") as f:
             rows = list(csv.DictReader(f))
         assert len(rows) == 100  # stage-2 half of n_train = 200
-        assert set(rows[0]) == {"id", "gamma", "rho", "xi", "omega_t", "guard_flag"}
+        assert list(rows[0]) == ["id", "gamma", "rho", "omega", "mu"]
 
     def test_scores_equal_run_experiment(self, tmp_path):
         # run and sweep must score one seed's cell the same way, so the
@@ -149,8 +173,8 @@ class TestSweepCommand:
         assert len(csvs) == 1
         with open(csvs[0]) as f:
             rows = list(csv.DictReader(f))
-        assert set(rows[0]) == {"learner", "axis_value", "rmse_mean", "rmse_sd",
-                                "rel_improv_pct", "guard_rate", "seconds"}
+        assert list(rows[0]) == ["learner", "axis_value", "rmse_mean", "rmse_sd",
+                                 "rel_improv_pct", "seconds"]
         assert len(rows) == 4  # 2 learners x 2 grid values
         wo_rows = [r for r in rows if r["learner"] == "wo"]
         for r in wo_rows:
@@ -172,13 +196,10 @@ class TestSweepCommand:
         _, args2 = self._spec(tmp_path / "b", workers=2)
         r2 = runner.invoke(main, args2)
         assert r1.exit_code == 0 and r2.exit_code == 0, r1.output + r2.output
-        c1 = (tmp_path / "a").glob("sweep_gamma_*.csv")
-        c2 = (tmp_path / "b").glob("sweep_gamma_*.csv")
-        rows1 = list(csv.reader(open(next(iter(c1)))))
-        rows2 = list(csv.reader(open(next(iter(c2)))))
         # drop the runtime column before comparing
-        strip = lambda rows: [r[:-1] for r in rows]
-        assert strip(rows1) == strip(rows2)
+        rows1, rows2 = ([r[:-1] for r in _read_rows(next(d.glob("sweep_gamma_*.csv")))]
+                        for d in (tmp_path / "a", tmp_path / "b"))
+        assert rows1 == rows2
 
     def test_failed_cells_are_recorded(self, tmp_path):
         # 12 trajectories leave too few nuisance-split units per arm, so
@@ -190,7 +211,7 @@ class TestSweepCommand:
         result = CliRunner().invoke(main, ["sweep", "--spec", str(spec_file)])
         assert result.exit_code == 1, result.output
         csv_path = tmp_path / f"sweep_gamma_{ExperimentSpec(**spec).hash}.csv"
-        assert list(csv.reader(open(csv_path))) == [list(SWEEP_COLUMNS)]
+        assert _read_rows(csv_path) == [list(SWEEP_COLUMNS)]
         failures = json.loads(csv_path.with_suffix(".json").read_text())["failures"]
         assert [f["cell"] for f in failures] == [[2.0, 0], [2.0, 1], [4.0, 0], [4.0, 1]]
         assert all("ParameterError" in f["error"] and "units take" in f["error"]

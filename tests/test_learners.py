@@ -121,11 +121,6 @@ class TestTraining:
         with pytest.raises(ParameterError):
             train_baseline(cell, "nope", hp=FAST)
 
-    def test_wo_guard_rate_surfaced(self):
-        _, _, cell = _small_cell()
-        model = train_wo(cell, hp=FAST, seed=0)
-        assert 0.0 <= model.guard_rate <= 1.0
-
     def test_deterministic(self):
         _, data, cell = _small_cell()
         test = data.subset(np.arange(20))

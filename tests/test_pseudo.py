@@ -1,12 +1,10 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from wolearn.core import always_treat, never_treat
 from wolearn.nuisance import NuisanceEvaluation
-from wolearn import pseudo
 from wolearn.pseudo import (
     cate_pseudo,
     gamma_plan,
@@ -66,11 +64,10 @@ class TestPlanPseudoOutcomes:
         np.testing.assert_allclose(rho_plan(ev), _reference_rho(ev), rtol=1e-10)
 
     def test_tau0_conventions(self):
-        # One step: empty-product-one convention gives rho = indicator;
-        # the collapse convention gives rho = pi.
+        # One step: the empty leading product is one, so rho = indicator;
+        # no other tau = 0 convention exists.
         ev = _random_eval(n=30, steps=1, seed=5)
-        np.testing.assert_allclose(rho_plan(ev, collapse_tau0=False), ev.ind[:, 0])
-        np.testing.assert_allclose(rho_plan(ev, collapse_tau0=True), ev.pi[:, 0])
+        np.testing.assert_allclose(rho_plan(ev), ev.ind[:, 0])
 
     def test_gamma_on_plan_followers_is_ipw_like(self):
         # A unit that follows the plan exactly has gamma = (prod 1/pi) y
@@ -107,49 +104,28 @@ class TestContrastPseudoOutcomes:
         np.testing.assert_allclose(po.omega, om_a * om_b)
         np.testing.assert_allclose(po.mu, ev_a.mu[:, 0] - ev_b.mu[:, 0])
 
-    def test_xi_identity_where_unguarded(self):
+    def test_risk_linear_term_is_product_form(self):
         ev_a = _random_eval(n=40, steps=2, seed=13)
         ev_b = _random_eval(n=40, steps=2, seed=14, plan=never_treat(0, 1))
         y = np.random.default_rng(15).normal(size=40)
         po = cate_pseudo(ev_a, ev_b, y)
-        ok = ~po.guard_flag
-        np.testing.assert_allclose(
-            po.xi[ok], po.mu[ok] + (po.omega[ok] / po.rho[ok]) * (po.gamma[ok] - po.mu[ok]))
-        # the linear risk coefficient equals rho * xi without the guard
-        np.testing.assert_allclose(risk_linear_term(po)[ok], (po.rho * po.xi)[ok], rtol=1e-10)
+        np.testing.assert_allclose(risk_linear_term(po),
+                                   po.rho * po.mu + po.omega * (po.gamma - po.mu))
 
-    def test_guarded_xi_formula_and_bounded_linear_term(self, monkeypatch):
-        # Where |rho| < eps the ratio denominator is replaced by
-        # sign(rho) * eps; the linear risk coefficient never divides.
-        ev_a = _random_eval(n=20, steps=1, seed=16)
-        ev_b = _random_eval(n=20, steps=1, seed=26, plan=never_treat(0, 0))
-        y = np.random.default_rng(17).normal(size=20) * 10
-        monkeypatch.setattr(pseudo, "EPS_RHO", 0.5)
-        with pytest.warns(UserWarning, match="guard"):
-            po = cate_pseudo(ev_a, ev_b, y)
-        hit = po.guard_flag
-        assert hit.any() and not hit.all()
-        guarded = np.where(po.rho < 0, -1.0, 1.0) * np.maximum(np.abs(po.rho), 0.5)
-        np.testing.assert_allclose(
-            po.xi[hit], po.mu[hit] + (po.omega[hit] / guarded[hit]) * (po.gamma - po.mu)[hit])
-        q = risk_linear_term(po)
-        assert np.isfinite(q).all()
-        np.testing.assert_allclose(q, po.rho * po.mu + po.omega * (po.gamma - po.mu))
-
-    def test_guard_flag_and_warning(self, monkeypatch):
-        # tau=0 with complementary arms (pi_b = 1 - pi_a, I_b = 1 - I_a) and
-        # the default indicator convention: rho^{ab} = (A - pi_a)^2, so the
-        # units whose treatment the propensity predicted well are guarded
+    def test_tau0_complementary_arms_reduce_to_residuals(self):
+        # tau=0 with complementary arms (pi_b = 1 - pi_a, I_b = 1 - I_a):
+        # rho^{ab} = (A - pi_a)^2 and q = (Y - m)(A - pi_a) with
+        # m = pi_a mu_a + (1 - pi_a) mu_b, the R-learner's coefficients
         ev_a = _random_eval(n=40, steps=1, seed=18)
         ev_b = NuisanceEvaluation(never_treat(0, 0), 1.0 - ev_a.pi, 1.0 - ev_a.ind,
-                                  ev_a.mu, ev_a.w_next)
-        monkeypatch.setattr(pseudo, "EPS_RHO", 0.1)
-        with pytest.warns(UserWarning, match="guard"):
-            po = cate_pseudo(ev_a, ev_b, np.zeros(40))
-        residual2 = (ev_a.ind[:, 0] - ev_a.pi[:, 0]) ** 2
-        np.testing.assert_allclose(po.rho, residual2, rtol=1e-12, atol=1e-15)
-        np.testing.assert_array_equal(po.guard_flag, np.abs(po.rho) < 0.1)
-        assert 0.0 < po.guard_rate == float(np.mean(np.abs(po.rho) < 0.1))
+                                  _random_eval(n=40, steps=1, seed=19).mu, ev_a.w_next)
+        y = np.random.default_rng(20).normal(size=40)
+        po = cate_pseudo(ev_a, ev_b, y)
+        e, resid_a = ev_a.pi[:, 0], ev_a.ind[:, 0] - ev_a.pi[:, 0]
+        m = e * ev_a.mu[:, 0] + (1.0 - e) * ev_b.mu[:, 0]
+        np.testing.assert_allclose(po.rho, resid_a**2, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(risk_linear_term(po), (y - m) * resid_a,
+                                   rtol=1e-12, atol=1e-14)
 
     def test_to_csv_roundtrip(self, tmp_path):
         import csv
@@ -162,9 +138,10 @@ class TestContrastPseudoOutcomes:
         with open(path) as f:
             rows = list(csv.DictReader(f))
         assert len(rows) == 6
+        assert list(rows[0]) == ["id", "gamma", "rho", "omega", "mu"]
         assert [int(r["id"]) for r in rows] == list(range(10, 16))
-        np.testing.assert_allclose([float(r["xi"]) for r in rows], po.xi)
-        np.testing.assert_allclose([float(r["rho"]) for r in rows], po.rho)
+        for name in ("gamma", "rho", "omega", "mu"):
+            np.testing.assert_array_equal([float(r[name]) for r in rows], getattr(po, name))
 
 
 class TestConditionalUnbiasednessSmallMc:

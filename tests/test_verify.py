@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wolearn import dgp, verify
+from wolearn import dgp, pseudo, verify
 from wolearn.core import ParameterError
 from wolearn.verify import (
     DiagnosticReport,
@@ -84,14 +84,15 @@ class TestOrthogonality:
             assert r["status"] == "inconclusive" or r["slope"] >= 1.8
 
 
+POINTWISE_KEYS = ("err_omega", "err_rho", "err_linear_term")
+
+
 class TestRLearnerReduction:
-    def test_both_conventions(self):
+    def test_pointwise_and_mean_identities(self):
         rep = check_r_learner_reduction(seed=0, n=1000, m=10000, n_histories=4)
         assert rep.passed, rep.summary
-        assert rep.detail["err_omega"] <= 1e-10
-        assert rep.detail["err_rho_collapse"] <= 1e-10
-        assert rep.detail["err_xi_collapse"] <= 1e-10
-        assert rep.detail["exact_loss_max_rel_err"] <= 1e-10
+        for key in POINTWISE_KEYS:
+            assert rep.detail[key] <= verify.TOL_POINTWISE
 
     def test_rejects_multi_step_config(self):
         # the pointwise identities and the E[rho|H] harness must test the
@@ -106,9 +107,19 @@ class TestRLearnerReduction:
         rep = check_r_learner_reduction(seed=0, n=1000, m=10000, n_histories=4)
         assert not rep.passed
         assert rep.detail["rho_mean_worst_z"] > 1e-4
-        for key in ("err_omega", "err_rho_collapse", "err_xi_collapse",
-                    "exact_loss_max_rel_err"):
-            assert rep.detail[key] <= 1e-10
+        for key in POINTWISE_KEYS:
+            assert rep.detail[key] <= verify.TOL_POINTWISE
+
+    def test_pointwise_part_can_fail(self, monkeypatch):
+        # the dropped tau=0 convention, rho = pi at one step: omega^{ab} is
+        # untouched, but the pointwise rho^{ab} = (A - pi)^2 breaks
+        rho_plan = pseudo.rho_plan
+        monkeypatch.setattr(pseudo, "rho_plan", lambda ev: (
+            ev.pi[:, 0].copy() if ev.pi.shape[1] == 1 else rho_plan(ev)))
+        rep = check_r_learner_reduction(seed=0, n=1000, m=10000, n_histories=4)
+        assert not rep.passed
+        assert rep.detail["err_rho"] > verify.TOL_POINTWISE
+        assert rep.detail["err_omega"] <= verify.TOL_POINTWISE
 
 
 class TestVerifyAll:

@@ -1,10 +1,10 @@
 """Small fully-connected networks with hand-written reverse-mode gradients.
 
-Supports weighted regression (squared error), binary classification
-(logistic loss) and a weighted quadratic objective on flat feature vectors.
-Sample weights may be negative: the objective is (1/sum_i w_i) * sum_i w_i *
-loss_i, normalized once over the full training set so per-batch gradients
-stay stable.
+Supports regression (squared error), binary classification (logistic
+loss) and a weighted quadratic objective on flat feature vectors. Only the
+quadratic objective takes sample weights, and they may be negative: it is
+normalized once by the weights' total over the full training set so
+per-batch gradients stay stable.
 
 One trainer fits a stack of K same-shape networks in lockstep: their
 parameters live in one (K, P) array with per-layer views into it, the
@@ -125,8 +125,8 @@ def _logistic_grad(pred, y):
     return _sigmoid(pred) - y
 
 
-def _squared_grad(pred, y, w):
-    return 2.0 * (pred - y) * w
+def _squared_grad(pred, y):
+    return 2.0 * (pred - y)
 
 
 def _quadratic_grad(pred, w, q):
@@ -161,17 +161,12 @@ class Network:
         self.y_scale = y_scale
 
     def predict(self, x):
-        """Regression: predicted value. Classification: P(label = 1)."""
-        x = np.asarray(x, dtype=float)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
-        out, _ = _forward(self.params, self.x_std.apply(x))
+        """Per row of x (n, d). Regression: predicted value. Classification:
+        P(label = 1)."""
+        out, _ = _forward(self.params, self.x_std.apply(np.asarray(x, dtype=float)))
         if self.task == "regression":
-            out = out * self.y_scale + self.y_mean
-        else:
-            out = _sigmoid(out)
-        return out[0] if squeeze else out
+            return out * self.y_scale + self.y_mean
+        return _sigmoid(out)
 
     def save(self, path):
         arrays = {"task": np.array(self.task)}
@@ -243,21 +238,16 @@ def classification_problem(x, y) -> Problem:
     return Problem(x_std.apply(x), (y,), _logistic_grad, x_std, "classification")
 
 
-def regression_problem(x, y, weights=None) -> Problem:
-    """Squared error, optionally with signed sample weights."""
+def regression_problem(x, y) -> Problem:
+    """Squared error; targets are standardized by their mean and SD."""
     x, y = _inputs(x, y)
     n = x.shape[0]
-    _, weights = _inputs(x, np.ones(n) if weights is None else weights)
-    abs_w, total = _weight_mass(weights)
-    w_norm = weights * (n / total)
-    # Weight-aware target scaling: with signed weights, a handful of huge
-    # targets on near-zero-weight rows must not set the scale.
-    y_mean = float(np.sum(abs_w * y) / abs_w.sum())
-    y_scale = float(np.sqrt(np.sum(abs_w * (y - y_mean) ** 2) / abs_w.sum()))
+    y_mean = float(np.sum(y) / n)
+    y_scale = float(np.sqrt(np.sum((y - y_mean) ** 2) / n))
     if y_scale < 1e-12:
         y_scale = 1.0
     x_std = _Standardizer.fit(x)
-    return Problem(x_std.apply(x), ((y - y_mean) / y_scale, w_norm), _squared_grad, x_std,
+    return Problem(x_std.apply(x), ((y - y_mean) / y_scale,), _squared_grad, x_std,
                    "regression", y_mean, y_scale)
 
 
@@ -334,8 +324,8 @@ def fit_stack(problems, hps) -> list:
             for row, p in zip(params, problems)]
 
 
-def fit_regressor(x, y, weights=None, hp: Hyperparameters = Hyperparameters()) -> Network:
-    return fit_stack([regression_problem(x, y, weights)], [hp])[0]
+def fit_regressor(x, y, hp: Hyperparameters = Hyperparameters()) -> Network:
+    return fit_stack([regression_problem(x, y)], [hp])[0]
 
 
 def fit_weighted_quadratic(x, weights, linear, hp: Hyperparameters = Hyperparameters()) -> Network:
@@ -380,7 +370,8 @@ def gradient_check(seed: int = 0, task: str = "regression", eps: float = 1e-6) -
         return float(np.sum(w * loss) / n)
 
     pred, cache = _forward(layers, x)
-    dout = _squared_grad(pred, y, w) if task == "regression" else _logistic_grad(pred, y) * w
+    loss_grad = _squared_grad if task == "regression" else _logistic_grad
+    dout = loss_grad(pred, y) * w
     grads = np.empty_like(flat)
     _backward(layers, cache, dout / n, _layers(grads, dims))
 

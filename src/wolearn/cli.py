@@ -3,7 +3,9 @@
 All commands take an experiment spec (JSON file via --spec, individual
 fields overridable on the command line; overrides win). A spec pins the
 generator configuration, the learner list, an optional sweep axis with its
-grid, the seed list, and estimator flags; it is checked when built.
+grid (a subset of the axis's reference grid), the seed list, and estimator
+flags; it is checked when built, and a spec file with an unknown key is
+rejected.
 `run_cells` runs a spec's (grid value, seed) cells in spawned workers for
 `sweep` and the acceptance suite alike. Sweeps write one CSV row per
 (learner, grid value) plus a provenance JSON carrying the exact spec and
@@ -18,20 +20,20 @@ import json
 import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import click
 import numpy as np
 
 from . import dgp, verify
-from .core import ParameterError, check_floor, check_lambda, check_window
+from .core import ParameterError, check_floor, check_window
 from .learners import LEARNERS, build_cell, evaluate_rmse, run_experiment, train_learner
 from .nuisance import PROPENSITY_FLOOR
 from .pseudo import PseudoConfig, cate_pseudo
 
 # Grids the reference experiments cover; sweep values outside these are
-# rejected unless --allow-off-grid is passed.
+# rejected.
 AXIS_GRIDS = {
     "gamma": tuple(0.5 * k for k in range(1, 14)),
     "tau": (1, 3, 5, 7),
@@ -56,8 +58,6 @@ class ExperimentSpec:
     floor: float = PROPENSITY_FLOOR
     clamp_rho: bool = False
     window: object = "full"  # "full" or an integer step count
-    lam: float = 0.5
-    allow_off_grid: bool = False
 
     def __post_init__(self):
         # an integer axis's grid and the window become ints, and every grid
@@ -80,7 +80,6 @@ class ExperimentSpec:
         if len(set(self.grid)) < len(self.grid):
             raise ParameterError(f"grid {list(self.grid)} repeats a value")
         check_floor(self.floor)
-        check_lambda(self.lam)
         unknown = set(self.learners) - set(LEARNERS + ("ipw_nofloor",))
         if unknown:
             raise ParameterError(f"unknown learner(s) {sorted(unknown)}")
@@ -89,12 +88,10 @@ class ExperimentSpec:
                 raise ParameterError(f"unknown sweep axis {self.axis!r}")
             if not self.grid:
                 raise ParameterError("sweep axis set but grid is empty")
-            if not self.allow_off_grid:
-                bad = [v for v in self.grid if v not in AXIS_GRIDS[self.axis]]
-                if bad:
-                    raise ParameterError(
-                        f"grid values {bad} outside the reference grid for {self.axis!r}; "
-                        "pass --allow-off-grid to override")
+            bad = [v for v in self.grid if v not in AXIS_GRIDS[self.axis]]
+            if bad:
+                raise ParameterError(
+                    f"grid values {bad} outside the reference grid for {self.axis!r}")
         for value in self.grid if self.axis != "none" else (None,):
             check_window(self.window, self.config_for(value).T)
 
@@ -126,6 +123,9 @@ def _load_spec(spec_path, **overrides) -> ExperimentSpec:
             base[key] = value
     if isinstance(base.get("dgp"), str):
         base["dgp"] = json.loads(base["dgp"])
+    unknown = set(base) - {f.name for f in fields(ExperimentSpec)}
+    if unknown:
+        raise ParameterError(f"unknown spec field(s) {sorted(unknown)}")
     return ExperimentSpec(**base)
 
 
@@ -146,8 +146,6 @@ _SPEC_OPTIONS = [
                  help="Clamp negative rho weights to zero in the second stage."),
     click.option("--window", default=None,
                  help='History feature window: "full" or a step count.'),
-    click.option("--lam", type=float, default=None, help="Stage-2 split fraction."),
-    click.option("--allow-off-grid", "allow_off_grid", is_flag=True, default=None),
 ]
 
 
@@ -182,7 +180,7 @@ def _run_cell(spec: ExperimentSpec, axis_value, seed):
     """One (grid value, seed) cell; pure function of its arguments."""
     config = spec.config_for(None if spec.axis == "none" else axis_value)
     t0 = time.time()
-    result = run_experiment(config, seed=seed, learners=spec.learners, lam=spec.lam,
+    result = run_experiment(config, seed=seed, learners=spec.learners,
                             pseudo_config=spec.pseudo_config, window=spec.window,
                             floor=spec.floor)
     result["seconds"] = time.time() - t0
@@ -217,8 +215,7 @@ def run(spec_path, seed, **overrides):
     out = Path(spec.out_dir) / f"{spec.kind}_seed{seed}"
     out.mkdir(parents=True, exist_ok=True)
 
-    cell, test, truth = build_cell(config, seed=seed, lam=spec.lam, window=spec.window,
-                                   floor=spec.floor)
+    cell, test, truth = build_cell(config, seed=seed, window=spec.window, floor=spec.floor)
 
     po = cate_pseudo(cell.ev_a, cell.ev_b, cell.y_final)
     po.to_csv(out / "pseudo_outcomes.csv", ids=cell.stage2.ids)

@@ -19,8 +19,8 @@ state only. So the mean outcome under a plan (`expected_outcome`) is a
 Gaussian integral per covariate dimension for every family, and it gives
 the exact test-set truth and the oracle responses; the Monte Carlo
 rollouts (`ground_truth_cate`, `response_mc`) are independent cross-checks.
-`DgpConfig` rejects unknown settings, sizes below 1 and a tau outside
-[0, T-1]; the seed is an argument of every draw, never a setting.
+`DgpConfig` rejects an unknown kind, unknown settings, sizes below 1 and a
+tau outside [0, T-1]; the seed is an argument of every draw, never a setting.
 """
 
 from __future__ import annotations
@@ -53,6 +53,13 @@ class HorizonError(ParameterError):
     pass
 
 
+def _kind_defaults(kind: str) -> dict:
+    """The default sizes of a generator kind; an unknown kind raises."""
+    if kind not in _KIND_DEFAULTS:
+        raise ConfigError(f"unknown DGP kind {kind!r}")
+    return _KIND_DEFAULTS[kind]
+
+
 @dataclass(frozen=True)
 class DgpConfig:
     kind: str
@@ -66,6 +73,7 @@ class DgpConfig:
     sigma_x: float = SIGMA_X_DEFAULT
 
     def __post_init__(self):
+        _kind_defaults(self.kind)
         if min(self.T, self.d_x, self.n_train, self.n_test) < 1:
             raise ConfigError("T, d_x, n_train and n_test must be at least 1")
         if not 0 <= self.tau <= self.T - 1:
@@ -73,14 +81,10 @@ class DgpConfig:
 
     @classmethod
     def make(cls, kind: str, **overrides) -> "DgpConfig":
-        if kind not in _KIND_DEFAULTS:
-            raise ConfigError(f"unknown DGP kind {kind!r}")
         unknown = set(overrides) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown generator setting(s) {sorted(unknown)}")
-        params = dict(_KIND_DEFAULTS[kind])
-        params.update(overrides)
-        return cls(kind=kind, **params)
+        return cls(kind=kind, **{**_kind_defaults(kind), **overrides})
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -183,11 +183,11 @@ def evaluate_rmse(model: CateModel, test_data: Dataset, truth: np.ndarray) -> fl
     return float(np.sqrt(np.mean((pred - truth) ** 2)))
 
 
-def build_cell(config, seed=0, lam=0.5, hp=None, window="full", floor=PROPENSITY_FLOOR):
+def build_cell(config, seed=0, hp=None, window="full", floor=PROPENSITY_FLOOR):
     """Everything of one cell before the learners: simulate the train and
     test panels, compute the test-set truth of always- over never-treat at
-    the configuration's anchor, and prepare the cell on the train panel.
-    Returns (cell, test panel, truth)."""
+    the configuration's anchor, and prepare the cell on the train panel
+    with `prepare_cell`'s even split. Returns (cell, test panel, truth)."""
     from . import dgp  # deferred: dgp is a sibling layer, not a dependency
 
     t, tau = config.eval_anchor, config.tau
@@ -195,17 +195,15 @@ def build_cell(config, seed=0, lam=0.5, hp=None, window="full", floor=PROPENSITY
     train = dgp.simulate(config, seed=seed)
     test = dgp.simulate(config, seed=_child_seed(seed, 0x7E, 0), n=config.n_test)
     truth = dgp.test_set_truth(config, test, t, plan_a, plan_b)
-    cell = prepare_cell(train, plan_a, plan_b, lam=lam, hp=hp, seed=seed, window=window,
-                        floor=floor)
+    cell = prepare_cell(train, plan_a, plan_b, hp=hp, seed=seed, window=window, floor=floor)
     return cell, test, truth
 
 
-def run_experiment(config, seed=0, learners=LEARNERS, lam=0.5, hp=None,
-                   pseudo_config=PseudoConfig(), window="full", floor=PROPENSITY_FLOOR):
+def run_experiment(config, seed=0, learners=LEARNERS, hp=None, pseudo_config=PseudoConfig(),
+                   window="full", floor=PROPENSITY_FLOOR):
     """One full cell: build it, fit every learner, score against ground
     truth. Returns {"seed": seed, "rmse": {learner: rmse}}."""
-    cell, test, truth = build_cell(config, seed=seed, lam=lam, hp=hp, window=window,
-                                   floor=floor)
+    cell, test, truth = build_cell(config, seed=seed, hp=hp, window=window, floor=floor)
     result = {"seed": seed, "rmse": {}}
     for name in learners:
         model = train_learner(cell, name, hp=hp, pseudo_config=pseudo_config, seed=seed)

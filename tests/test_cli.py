@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from wolearn.cli import SWEEP_COLUMNS, ExperimentSpec, _check_consistency, main
+from wolearn.cli import SWEEP_COLUMNS, ExperimentSpec, _check_consistency, _load_spec, main
 from wolearn.core import Dataset, ParameterError
 from wolearn.dgp import ConfigError
 from wolearn.learners import run_experiment
@@ -36,9 +36,6 @@ class TestExperimentSpec:
     def test_off_grid_values_rejected(self):
         with pytest.raises(ParameterError):
             ExperimentSpec(**{**TINY, "axis": "gamma", "grid": [0.7]})
-        ok = ExperimentSpec(**{**TINY, "axis": "gamma", "grid": [0.7],
-                               "allow_off_grid": True})
-        assert ok.grid == (0.7,)
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ParameterError):
@@ -68,15 +65,15 @@ class TestExperimentSpec:
         assert as_float == as_int and as_float.hash == as_int.hash
         assert type(as_float.grid[0]) is int
         with pytest.raises(ParameterError, match="integer"):
-            ExperimentSpec(**{**base, "grid": [2000.5], "allow_off_grid": True})
+            ExperimentSpec(**{**base, "grid": [2000.5]})
 
     @pytest.mark.parametrize("fault, match", [
         ({"window": 0}, "window"),
         ({"window": 99}, "window"),  # gamma's T is 5
         ({"floor": 2.0}, "floor"),
         ({"floor": -0.1}, "floor"),
-        ({"lam": 1.5}, "lambda"),
-        ({"lam": 0.0}, "lambda"),
+        ({"axis": "gamma", "grid": []}, "empty"),
+        ({"kind": "bogus"}, "kind"),
         ({"seeds": []}, "seeds"),
         ({"seeds": [0, 0]}, "seeds"),
         ({"seeds": [-1]}, "seeds"),
@@ -85,6 +82,14 @@ class TestExperimentSpec:
     def test_faults_fail_when_built(self, fault, match):
         with pytest.raises(ParameterError, match=match):
             ExperimentSpec(**{**TINY, **fault})
+
+    @pytest.mark.parametrize("key", ["lam", "allow_off_grid", "windw"])
+    def test_unknown_spec_file_key_rejected(self, tmp_path, key):
+        # spec files that set a removed field fail by name, not with TypeError
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({**TINY, key: 0.5}))
+        with pytest.raises(ParameterError, match=f"unknown spec field.*{key}"):
+            _load_spec(spec_file)
 
     def test_window_normalized(self):
         as_str = ExperimentSpec(**{**TINY, "window": "1"})
@@ -148,7 +153,7 @@ class TestRunCommand:
         result = CliRunner().invoke(main, ["run", "--spec", str(spec_file), "--seed", "0"])
         assert result.exit_code == 0, result.output
         metrics = json.loads((tmp_path / "n_seed0" / "metrics.json").read_text())["metrics"]
-        expect = run_experiment(spec.config_for(), seed=0, learners=spec.learners, lam=spec.lam,
+        expect = run_experiment(spec.config_for(), seed=0, learners=spec.learners,
                                 pseudo_config=spec.pseudo_config, window=spec.window,
                                 floor=spec.floor)["rmse"]
         assert {m["learner"]: m["rmse"] for m in metrics} == expect

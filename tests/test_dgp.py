@@ -43,6 +43,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             DgpConfig.make("nope")
 
+    def test_unknown_kind_rejected_when_built(self):
+        # built directly, the config fails at once, not inside simulate
+        with pytest.raises(ConfigError, match="unknown DGP kind"):
+            DgpConfig(kind="bogus", T=5, d_x=1, n_train=50, tau=1)
+
     def test_eval_anchor(self):
         assert DgpConfig.make("gamma", tau=1).eval_anchor == 3
         assert DgpConfig.make("pi", tau=7).eval_anchor == 7

@@ -21,6 +21,20 @@ class TestDiagnosticReport:
         assert str(bad) == "[FAIL] y: broken"
 
 
+class TestZ:
+    # a statistic with no Monte Carlo spread has an SE that is rounding
+    # noise: it passes only if its mean equals the target to TOL_POINTWISE
+    def test_constant_on_target_is_zero(self):
+        assert verify._z(np.full(10000, 0.2), 0.2) == 0.0
+
+    @pytest.mark.parametrize("values, target, z", [
+        (np.full(10000, 0.25), 0.2, np.inf),
+        (np.full(4, 0.2), 0.3, -np.inf),
+    ])
+    def test_constant_off_target_is_infinite(self, values, target, z):
+        assert verify._z(values, target) == z
+
+
 class TestConditionalMeans:
     def test_gamma_identity_holds(self):
         rep = check_conditional_mean_gamma(seed=0, n_histories=8, m=4000)

@@ -71,7 +71,13 @@ class ExperimentSpec:
         object.__setattr__(self, "learners", tuple(self.learners))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if self.window != "full":
-            object.__setattr__(self, "window", int(self.window))
+            try:
+                window = int(self.window)
+            except (TypeError, ValueError):
+                window = None
+            if window is None or self.window not in (window, str(window)):
+                raise ParameterError(f'window {self.window!r} must be "full" or an integer')
+            object.__setattr__(self, "window", window)
         if not self.learners:
             raise ParameterError("learner list must not be empty")
         if not self.seeds or len(set(self.seeds)) < len(self.seeds) or min(self.seeds) < 0:

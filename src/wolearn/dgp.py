@@ -18,7 +18,7 @@ back into X) and Y_{t+tau} depends on the final treatment and the covariate
 state only. So the mean outcome under a plan (`expected_outcome`) is a
 Gaussian integral per covariate dimension for every family, and it gives
 the exact test-set truth and the oracle responses; the Monte Carlo
-rollouts (`ground_truth_cate`, `response_mc`) are independent cross-checks.
+rollouts in `tests/monte_carlo.py` are independent cross-checks.
 `DgpConfig` rejects an unknown kind, unknown settings, sizes below 1 and a
 tau outside [0, T-1]; the seed is an argument of every draw, never a setting.
 """
@@ -46,10 +46,6 @@ _KIND_DEFAULTS = {
 
 
 class ConfigError(ParameterError):
-    pass
-
-
-class HorizonError(ParameterError):
     pass
 
 
@@ -109,9 +105,7 @@ def propensity_logit(config: DgpConfig, x_t, y_prev, a_prev):
         return np.sin(base)
     if config.kind == "mu":
         return base
-    if config.kind == "n":
-        return 3.5 * base
-    raise ConfigError(f"unknown DGP kind {config.kind!r}")
+    return 3.5 * base  # kind "n"
 
 
 def outcome_mean(config: DgpConfig, x_t, x_prev, a_t):
@@ -121,9 +115,7 @@ def outcome_mean(config: DgpConfig, x_t, x_prev, a_t):
     if config.kind == "mu":
         c = np.mean(np.cos(x_prev) * np.cos(np.cos(x_prev)), axis=-1)
         return np.exp(0.5 * (a_t - 0.5) * c)
-    if config.kind == "n":
-        return 0.5 * np.exp(-np.mean(np.cos(x_t), axis=-1) ** 2) * (a_t - 0.5)
-    raise ConfigError(f"unknown DGP kind {config.kind!r}")
+    return 0.5 * np.exp(-np.mean(np.cos(x_t), axis=-1) ** 2) * (a_t - 0.5)  # kind "n"
 
 
 @dataclass
@@ -220,25 +212,6 @@ def conditional_rollout(config: DgpConfig, data: Dataset, anchor: int, m: int, s
     return rollout(config, state, data.T - anchor, rng=rng)
 
 
-def ground_truth_cate(config: DgpConfig, data: Dataset, anchor: int, plan_a, plan_b, m: int,
-                      seed=0):
-    """Monte Carlo CATE at the history of the one unit in `data`: mean
-    final-outcome difference over m paired rollouts with common random
-    numbers across the two arms."""
-    if not plan_a.start == plan_b.start == anchor or plan_a.horizon != plan_b.horizon:
-        raise ParameterError("plans must start at the history anchor and share the horizon")
-    steps = plan_a.horizon + 1
-    if anchor + steps > data.T:
-        raise HorizonError("plan extends past the trajectory length")
-    state = _unit_state(data, anchor, m)
-    # a fresh, equally seeded generator per arm: common random numbers
-    rngs = [np.random.default_rng(np.random.SeedSequence((seed, 0xC7E))) for _ in range(2)]
-    ya, yb = (rollout(config, state, steps, rng=rng, forced=list(p.values))["y"][:, -1]
-              for rng, p in zip(rngs, (plan_a, plan_b)))
-    diff = ya - yb
-    return float(diff.mean()), float(diff.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0
-
-
 def _gauss_exp_moment(mean, var):
     """E[exp(-Z^2)] for Z ~ N(mean, var)."""
     return np.exp(-(mean**2) / (1.0 + 2.0 * var)) / np.sqrt(1.0 + 2.0 * var)
@@ -281,22 +254,21 @@ def expected_outcome(config: DgpConfig, x, x_prev, a, delta: int):
         mean, var = _ar_moments(x, delta - 1, sigma_x)
         g = _gh_expect(lambda z: np.exp(c * np.cos(z) * np.cos(np.cos(z))), mean, math.sqrt(var))
         return np.prod(g, axis=-1)
-    if config.kind == "n":
-        if delta == 0:
-            return outcome_mean(config, x, x_prev, a)
-        # exp(-S^2) = E[cos(2 S U)] for U ~ N(0, 1/2), and for fixed U the
-        # expectation of exp(2i U S), S = mean_p cos Z_p, factorises over p.
-        # The outer sum over U runs one node at a time to bound memory, and
-        # over the positive nodes only: the integrand is even in U and the
-        # nodes are symmetric.
-        mean, var = _ar_moments(x, delta, sigma_x)
-        half = len(_GH_NODES) // 2
-        moment = 0.0
-        for u, w in zip(_GH_NODES[half:], 2.0 * _GH_WEIGHTS[half:]):
-            phi = _gh_expect(lambda z: np.exp((2j * u / d) * np.cos(z)), mean, math.sqrt(var))
-            moment += w * np.prod(phi, axis=-1).real
-        return 0.5 * moment / math.sqrt(math.pi) * (a - 0.5)
-    raise ConfigError(f"unknown DGP kind {config.kind!r}")
+    # kind "n"
+    if delta == 0:
+        return outcome_mean(config, x, x_prev, a)
+    # exp(-S^2) = E[cos(2 S U)] for U ~ N(0, 1/2), and for fixed U the
+    # expectation of exp(2i U S), S = mean_p cos Z_p, factorises over p.
+    # The outer sum over U runs one node at a time to bound memory, and
+    # over the positive nodes only: the integrand is even in U and the
+    # nodes are symmetric.
+    mean, var = _ar_moments(x, delta, sigma_x)
+    half = len(_GH_NODES) // 2
+    moment = 0.0
+    for u, w in zip(_GH_NODES[half:], 2.0 * _GH_WEIGHTS[half:]):
+        phi = _gh_expect(lambda z: np.exp((2j * u / d) * np.cos(z)), mean, math.sqrt(var))
+        moment += w * np.prod(phi, axis=-1).real
+    return 0.5 * moment / math.sqrt(math.pi) * (a - 0.5)
 
 
 def exact_cate(config: DgpConfig, state: State, plan_a: InterventionPlan, plan_b: InterventionPlan):
@@ -323,9 +295,8 @@ class OracleNuisanceSet:
     for every family (responses through `expected_outcome`); tail weights
     use Gauss-Hermite quadrature where the family admits it and Monte Carlo
     against the known generator otherwise, with `m` draws per state and
-    randomness seeded by `seed`. `response_mc` and `response_nested_mc` are
-    Monte Carlo cross-checks of the closed form. All evaluators are
-    deterministic given (config, m, seed).
+    randomness seeded by `seed`. All evaluators are deterministic given
+    (config, m, seed).
     """
 
     def __init__(self, config: DgpConfig, plan: InterventionPlan, m: int = 10000, seed: int = 0):
@@ -346,11 +317,6 @@ class OracleNuisanceSet:
         rng = np.random.default_rng(np.random.SeedSequence(entropy))
         return rollout(self.config, state.tile(self.m), steps, rng=rng, forced=forced)
 
-    def _per_state(self, draws):
-        """Mean and standard error over each state's m consecutive draws."""
-        draws = draws.reshape(-1, self.m)
-        return draws.mean(axis=1), draws.std(axis=1, ddof=1) / math.sqrt(self.m)
-
     def propensity(self, j: int, state: State):
         """pi_j^plan: probability of the plan's treatment at time j."""
         p1 = sigmoid(propensity_logit(self.config, state.x, state.y_prev, state.a_prev))
@@ -360,23 +326,6 @@ class OracleNuisanceSet:
         """Closed-form mu_j^plan."""
         return expected_outcome(self.config, state.x, state.x_prev, self.plan.values[-1],
                                 self.t + self.tau - j)
-
-    def response_mc(self, j: int, state: State):
-        """mu_j^plan by single-pass forced rollout; returns (mean, se)."""
-        steps = self.t + self.tau - j + 1
-        forced = list(self.plan.values[j - self.t :])
-        out = self._rollout(state, steps, (self.seed, 0xE5, 0), forced=forced)
-        return self._per_state(out["y"][:, -1])
-
-    def response_nested_mc(self, state: State):
-        """mu_t^plan by the two-stage route: one forced step, then the exact
-        next-stage response; cross-check for response_mc (tau = 1 only)."""
-        if self.tau != 1:
-            raise NotImplementedError("nested oracle implemented for tau = 1")
-        one = self._rollout(state, 2, (self.seed, 0xE6, 1), forced=[self.plan.values[0], None])
-        nxt = State(x=one["x"][:, 1], x_prev=one["x"][:, 0], y_prev=one["y"][:, 0],
-                    a_prev=one["a"][:, 0])
-        return self._per_state(self.response_exact(self.t + 1, nxt))
 
     def tail_weight(self, j: int, state: State):
         """E[prod_{k=j+1}^{t+tau} pi_k^plan | H_j] evaluated at states."""

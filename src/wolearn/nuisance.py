@@ -220,9 +220,11 @@ class OracleBackedNuisances:
     """Ground-truth nuisances exposed through the FittedNuisances interface;
     for diagnostics that must separate estimator error from nuisance error.
     `evaluate` turns each step's histories into a `dgp.State` and asks the
-    oracle (a `dgp.OracleNuisanceSet`) for its values there. Tail weights
-    are not clamped. To probe sensitivity, shift a copy of an evaluation
-    (`dataclasses.replace(ev, mu=ev.mu + d)`) and floor it again.
+    oracle (a `dgp.OracleNuisanceSet`) for its values there. A step whose
+    histories all share one state, as at the anchor of a completed panel,
+    is evaluated once on that state and the values broadcast to every row.
+    Tail weights are not clamped. To probe sensitivity, shift a copy of an
+    evaluation (`dataclasses.replace(ev, mu=ev.mu + d)`) and floor it again.
     """
 
     def __init__(self, oracle):
@@ -238,6 +240,9 @@ class OracleBackedNuisances:
 
         def step(k, j):
             st = State.from_dataset(data, j)
+            arrays = (st.x, st.x_prev, st.y_prev, st.a_prev)
+            if all((v == v[:1]).all() for v in arrays):
+                st = State(*(v[:1] for v in arrays))  # one row; from_steps broadcasts it
             w = oracle.tail_weight(j, st) if j < self.plan.end else None
             return oracle.propensity(j, st), oracle.response_exact(j, st), w
 

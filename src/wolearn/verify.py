@@ -9,7 +9,9 @@ error:
                       plans and for contrasts, tested per history by Monte
                       Carlo over conditional observational rollouts; the
                       targets are the anchor column of the clean oracle
-                      evaluations, which every completed row shares;
+                      evaluations, which every completed row shares (so
+                      the oracle evaluates that shared state once, not
+                      once per row);
   risk equivalence    pairwise differences of the empirical weighted risk
                       match the population overlap-weighted excess risk,
                       and both rank a menu of candidate effect functions

@@ -78,6 +78,8 @@ class TestExperimentSpec:
         ({"seeds": [0, 0]}, "seeds"),
         ({"seeds": [-1]}, "seeds"),
         ({"axis": "gamma", "grid": [2.0, 4.0, 2.0]}, "repeats"),
+        ({"window": 2.7}, "window"),  # int() would truncate it to 2
+        ({"window": "abc"}, "window"),
     ])
     def test_faults_fail_when_built(self, fault, match):
         with pytest.raises(ParameterError, match=match):

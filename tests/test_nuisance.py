@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wolearn import dgp
+from wolearn import dgp, verify
 from wolearn.backbone import Hyperparameters
 from wolearn.core import ParameterError, always_treat, never_treat
 from wolearn.dgp import DgpConfig, State, oracle_nuisances, propensity_logit, sigmoid, simulate
@@ -70,6 +70,45 @@ class TestOracleBacked:
         assert (oracle.propensity(t, st_) == 0.0).any()
         ev = OracleBackedNuisances(oracle).evaluate(data, floor=0.0)
         assert ev.pi.min() == 1e-12
+
+    @staticmethod
+    def _recording_evaluate(monkeypatch, oracle, data):
+        """Evaluate `data`, recording how many rows each oracle call sees."""
+        rows = {"propensity": [], "tail_weight": []}
+
+        def recorded(real, calls):
+            def call(j, st_):
+                calls.append(len(st_.y_prev))
+                return real(j, st_)
+            return call
+
+        for name, calls in rows.items():
+            monkeypatch.setattr(oracle, name, recorded(getattr(oracle, name), calls))
+        return OracleBackedNuisances(oracle).evaluate(data, floor=0.0), rows
+
+    def test_shared_anchor_state_evaluated_once(self, monkeypatch):
+        # Every row of a completed panel shares the history at the anchor,
+        # so the oracle sees one row there; the next step is row by row.
+        cfg = DgpConfig.make("gamma", gamma=2.0)
+        t, m = cfg.eval_anchor, 300
+        comp = verify._completed_dataset(cfg, simulate(cfg, seed=0, n=1), t, m, seed=0)
+        oracle = oracle_nuisances(cfg, always_treat(t, 1))
+        expect = []  # the oracle called row by row
+        for j in (t, t + 1):
+            st_ = State.from_dataset(comp, j)
+            w = oracle.tail_weight(j, st_) if j == t else np.ones(m)
+            expect.append((oracle.propensity(j, st_), oracle.response_exact(j, st_), w))
+        ev, rows = self._recording_evaluate(monkeypatch, oracle, comp)
+        assert rows == {"propensity": [1, m], "tail_weight": [1]}
+        for k, (pi, mu, w) in enumerate(expect):
+            assert np.array_equal(ev.pi[:, k], np.clip(pi, 1e-12, 1.0))
+            assert np.array_equal(ev.mu[:, k], mu)
+            assert np.array_equal(ev.w_next[:, k], w)
+
+    def test_distinct_states_evaluated_row_by_row(self, monkeypatch):
+        cfg, data, t, plan = _setup(n=40)
+        _, rows = self._recording_evaluate(monkeypatch, oracle_nuisances(cfg, plan), data)
+        assert rows == {"propensity": [40, 40], "tail_weight": [40]}
 
 
 class TestFittedNuisances:

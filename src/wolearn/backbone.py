@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ParameterError
+from .core import ParameterError, sigmoid
 
 # Adam's moment decays and denominator guard, the usual defaults
 ADAM_BETA1 = 0.9
@@ -115,14 +115,10 @@ def _backward(layers, cache, dout, grads):
                 delta = delta * masks[i]
 
 
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
-
-
 # Per-sample gradients of each loss w.r.t. the linear output; the columns
 # after `pred` are the per-sample arrays a Problem carries.
 def _logistic_grad(pred, y):
-    return _sigmoid(pred) - y
+    return sigmoid(pred) - y
 
 
 def _squared_grad(pred, y):
@@ -166,7 +162,7 @@ class Network:
         out, _ = _forward(self.params, self.x_std.apply(np.asarray(x, dtype=float)))
         if self.task == "regression":
             return out * self.y_scale + self.y_mean
-        return _sigmoid(out)
+        return sigmoid(out)
 
     def save(self, path):
         arrays = {"task": np.array(self.task)}
@@ -365,7 +361,7 @@ def gradient_check(seed: int = 0, task: str = "regression", eps: float = 1e-6) -
         if task == "regression":
             loss = (pred - y) * (pred - y)
         else:
-            p = _sigmoid(pred)
+            p = sigmoid(pred)
             loss = -(y * np.log(p + 1e-12) + (1.0 - y) * np.log(1.0 - p + 1e-12))
         return float(np.sum(w * loss) / n)
 

@@ -27,7 +27,7 @@ import click
 import numpy as np
 
 from . import dgp, verify
-from .core import ParameterError, check_floor, check_window
+from .core import ParameterError, check_floor, check_int, check_window
 from .learners import LEARNERS, build_cell, evaluate_rmse, run_experiment, train_learner
 from .nuisance import PROPENSITY_FLOOR
 from .pseudo import PseudoConfig, cate_pseudo
@@ -60,24 +60,16 @@ class ExperimentSpec:
     window: object = "full"  # "full" or an integer step count
 
     def __post_init__(self):
-        # an integer axis's grid and the window become ints, and every grid
-        # value's DgpConfig is built and its T bounds the window, so a bad
-        # spec fails before any cell runs
-        grid = tuple(int(v) if self.axis in ("tau", "d_x", "n_train") else v
-                     for v in self.grid)
-        if grid != tuple(self.grid):
-            raise ParameterError(f"axis {self.axis!r} takes integer grid values")
-        object.__setattr__(self, "grid", grid)
+        # an integer axis's grid, the seeds and the window become ints, and
+        # every grid value's DgpConfig is built and its T bounds the window,
+        # so a bad spec fails before any cell runs
+        integer_axis = self.axis in ("tau", "d_x", "n_train")
+        object.__setattr__(self, "grid", tuple(check_int(v, "grid") if integer_axis else v
+                                               for v in self.grid))
         object.__setattr__(self, "learners", tuple(self.learners))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "seeds", tuple(check_int(s, "seeds") for s in self.seeds))
         if self.window != "full":
-            try:
-                window = int(self.window)
-            except (TypeError, ValueError):
-                window = None
-            if window is None or self.window not in (window, str(window)):
-                raise ParameterError(f'window {self.window!r} must be "full" or an integer')
-            object.__setattr__(self, "window", window)
+            object.__setattr__(self, "window", check_int(self.window, "window"))
         if not self.learners:
             raise ParameterError("learner list must not be empty")
         if not self.seeds or len(set(self.seeds)) < len(self.seeds) or min(self.seeds) < 0:
@@ -89,6 +81,8 @@ class ExperimentSpec:
         unknown = set(self.learners) - set(LEARNERS + ("ipw_nofloor",))
         if unknown:
             raise ParameterError(f"unknown learner(s) {sorted(unknown)}")
+        if self.axis == "none" and self.grid:
+            raise ParameterError(f"grid {list(self.grid)} given without a sweep axis")
         if self.axis != "none":
             if self.axis not in AXIS_GRIDS:
                 raise ParameterError(f"unknown sweep axis {self.axis!r}")
@@ -197,6 +191,8 @@ def run_cells(spec: ExperimentSpec, workers: int):
     """Run every (grid value, seed) cell of `spec` in `workers` spawned
     processes. Returns ({(value, seed): result}, failures); a cell that
     raises is recorded as {"cell": (value, seed), "error": repr}."""
+    if workers < 1:
+        raise ParameterError(f"workers={workers} must be at least 1")
     results, failures = {}, []
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
@@ -244,7 +240,8 @@ def run(spec_path, seed, **overrides):
 
 @main.command()
 @_with_spec_options
-@click.option("--workers", type=int, default=1, help="Spawned worker processes for the cells.")
+@click.option("--workers", type=click.IntRange(min=1), default=1,
+              help="Spawned worker processes for the cells.")
 def sweep(spec_path, workers, **overrides):
     """Run the grid x seeds sweep and write the aggregated CSV.
 

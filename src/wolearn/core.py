@@ -19,19 +19,39 @@ class ParameterError(ValueError):
     """Invalid argument to a library operation."""
 
 
+def sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+
+
+def check_int(value, name: str) -> int:
+    """`value` as an int when it is integral (an int, an integral float, or
+    a string of an int); otherwise ParameterError naming `name`."""
+    try:
+        out = int(value)  # a str parses only as an integer literal
+        integral = isinstance(value, str) or out == value
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral or isinstance(value, bool):
+        raise ParameterError(f"{name}: {value!r} is not an integer")
+    return out
+
+
 @dataclass(frozen=True)
 class InterventionPlan:
-    """A fixed treatment sequence a_{t:t+tau} starting at `start`."""
+    """A fixed treatment sequence a_{t:t+tau} starting at `start`. `value`
+    and `propensity` raise ParameterError for a time outside [start, end]."""
 
     start: int
     values: tuple
 
     def __post_init__(self):
-        vals = tuple(int(v) for v in self.values)
+        vals = tuple(check_int(v, "plan value") for v in self.values)
         if len(vals) < 1 or any(v not in (0, 1) for v in vals):
             raise ParameterError("plan values must be a non-empty binary sequence")
-        if self.start < 0:
-            raise ParameterError(f"plan start {self.start} is negative")
+        start = check_int(self.start, "plan start")
+        if start < 0:
+            raise ParameterError(f"plan start {start} is negative")
+        object.__setattr__(self, "start", start)
         object.__setattr__(self, "values", vals)
 
     @property
@@ -41,6 +61,16 @@ class InterventionPlan:
     @property
     def end(self) -> int:
         return self.start + self.horizon
+
+    def value(self, j: int) -> int:
+        """The plan's treatment a_j at time j."""
+        if not self.start <= j <= self.end:
+            raise ParameterError(f"time index {j} outside plan range")
+        return self.values[j - self.start]
+
+    def propensity(self, j: int, p1):
+        """pi_j = P(A_j = a_j | H_j) from p1 = P(A_j = 1 | H_j)."""
+        return p1 if self.value(j) == 1 else 1.0 - p1
 
 
 def always_treat(start: int, tau: int) -> InterventionPlan:
@@ -119,7 +149,7 @@ class Dataset:
 def check_window(window, T: int) -> int:
     """The number of history steps a feature window spans: T for "full",
     otherwise the window itself, which must lie in [1, T]."""
-    w = T if window == "full" else int(window)
+    w = T if window == "full" else check_int(window, "window")
     if not 1 <= w <= T:
         raise ParameterError(f"window must be in [1, T={T}]")
     return w

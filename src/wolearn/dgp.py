@@ -19,18 +19,23 @@ state only. So the mean outcome under a plan (`expected_outcome`) is a
 Gaussian integral per covariate dimension for every family, and it gives
 the exact test-set truth and the oracle responses; the Monte Carlo
 rollouts in `tests/monte_carlo.py` are independent cross-checks.
-`DgpConfig` rejects an unknown kind, unknown settings, sizes below 1 and a
-tau outside [0, T-1]; the seed is an argument of every draw, never a setting.
+`conditional_rollout` completes m copies of one unit's history under the
+observational law, as the per-history checks of `verify` need.
+`DgpConfig` rejects an unknown kind, unknown settings, non-integral or
+below-1 sizes, a tau outside [0, T-1], a non-finite gamma and a negative or
+non-finite noise scale; the seed is an argument of every draw, never a
+setting.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .core import Dataset, InterventionPlan, ParameterError
+from .core import Dataset, InterventionPlan, ParameterError, check_int, sigmoid
 
 SIGMA_Y_DEFAULT = 0.3
 # AR(1) X_t = 0.5 X_{t-1} + eps has stationary variance 1 when
@@ -70,6 +75,14 @@ class DgpConfig:
 
     def __post_init__(self):
         _kind_defaults(self.kind)
+        for name in ("T", "d_x", "n_train", "n_test", "tau"):
+            object.__setattr__(self, name, check_int(getattr(self, name), name))
+        for name in ("gamma", "sigma_x", "sigma_y"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ConfigError(f"{name}={value!r} must be a finite number")
+        if min(self.sigma_x, self.sigma_y) < 0:
+            raise ConfigError("the noise scales sigma_x and sigma_y must be non-negative")
         if min(self.T, self.d_x, self.n_train, self.n_test) < 1:
             raise ConfigError("T, d_x, n_train and n_test must be at least 1")
         if not 0 <= self.tau <= self.T - 1:
@@ -89,10 +102,6 @@ class DgpConfig:
     def eval_anchor(self) -> int:
         """Latest feasible anchor: t + tau is the last time index."""
         return self.T - 1 - self.tau
-
-
-def sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
 
 
 def propensity_logit(config: DgpConfig, x_t, y_prev, a_prev):
@@ -203,13 +212,18 @@ def _unit_state(data: Dataset, anchor: int, m: int) -> State:
     return State.from_dataset(data, anchor).tile(m)
 
 
-def conditional_rollout(config: DgpConfig, data: Dataset, anchor: int, m: int, seed: int):
-    """m simulated futures of (X, A, Y) from `anchor` to the end of the
-    panel under the observational law, given the history of the one unit
-    in `data`."""
+def conditional_rollout(config: DgpConfig, data: Dataset, anchor: int, m: int,
+                        seed: int) -> Dataset:
+    """m completed copies of the one unit in `data`: the columns before
+    `anchor` are the unit's own, and (X, A, Y) from `anchor` to the end of
+    the panel are re-simulated under the observational law given its
+    history. Every copy shares the history at the anchor."""
     state = _unit_state(data, anchor, m)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA0)))
-    return rollout(config, state, data.T - anchor, rng=rng)
+    out = rollout(config, state, data.T - anchor, rng=rng)
+    x, a, y = (np.repeat(v, m, axis=0) for v in (data.x, data.a, data.y))
+    x[:, anchor:], a[:, anchor:], y[:, anchor:] = out["x"], out["a"], out["y"]
+    return Dataset(x, a, y)
 
 
 def _gauss_exp_moment(mean, var):
@@ -292,7 +306,9 @@ class OracleNuisanceSet:
     Every method takes the time index j and a `State` (the histories at j,
     vectorized over its leading axis), as `OracleBackedNuisances` builds it
     with `State.from_dataset`. Propensities and responses are closed form
-    for every family (responses through `expected_outcome`); tail weights
+    for every family (responses through `expected_outcome`); the plan's
+    `InterventionPlan.propensity` turns P(A_j = 1 | H_j) into the plan
+    propensity. Tail weights are 1 at the plan's last step and otherwise
     use Gauss-Hermite quadrature where the family admits it and Monte Carlo
     against the known generator otherwise, with `m` draws per state and
     randomness seeded by `seed`. All evaluators are deterministic given
@@ -307,11 +323,6 @@ class OracleNuisanceSet:
         self.m = m
         self.seed = seed
 
-    def _plan_value(self, j: int) -> int:
-        if not self.t <= j <= self.t + self.tau:
-            raise ParameterError(f"time index {j} outside plan range")
-        return self.plan.values[j - self.t]
-
     def _rollout(self, state: State, steps: int, entropy: tuple, forced=None):
         """`rollout` of m copies of every state, seeded by `entropy`."""
         rng = np.random.default_rng(np.random.SeedSequence(entropy))
@@ -320,7 +331,7 @@ class OracleNuisanceSet:
     def propensity(self, j: int, state: State):
         """pi_j^plan: probability of the plan's treatment at time j."""
         p1 = sigmoid(propensity_logit(self.config, state.x, state.y_prev, state.a_prev))
-        return p1 if self._plan_value(j) == 1 else 1.0 - p1
+        return self.plan.propensity(j, p1)
 
     def response_exact(self, j: int, state: State):
         """Closed-form mu_j^plan."""
@@ -343,7 +354,6 @@ class OracleNuisanceSet:
         cfg, x = self.config, state.x
         xs = np.mean(x, axis=-1)
         p1 = sigmoid(propensity_logit(cfg, x, state.y_prev, state.a_prev))
-        a_next = self._plan_value(j + 1)
         sd = 0.5 * math.sqrt(cfg.sigma_x**2 + cfg.sigma_y**2)
         total = np.zeros_like(xs)
         for a_j, w in ((1.0, p1), (0.0, 1.0 - p1)):
@@ -352,10 +362,7 @@ class OracleNuisanceSet:
                 fn = lambda u: sigmoid(cfg.gamma * u)
             else:
                 fn = lambda u: sigmoid(np.sin(u))
-            pnext = _gh_expect(fn, u_mean, sd)
-            if a_next == 0:
-                pnext = 1.0 - pnext
-            total += w * pnext
+            total += w * self.plan.propensity(j + 1, _gh_expect(fn, u_mean, sd))
         return total
 
     def _tail_weight_mc(self, j: int, state: State):
@@ -363,7 +370,7 @@ class OracleNuisanceSet:
         out = self._rollout(state, steps, (self.seed, 0xE7, 2))
         prod = np.ones(len(out["p1"]))
         for s in range(1, steps):
-            prod *= out["p1"][:, s] if self._plan_value(j + s) == 1 else 1.0 - out["p1"][:, s]
+            prod *= self.plan.propensity(j + s, out["p1"][:, s])
         return prod.reshape(-1, self.m).mean(axis=-1)
 
 

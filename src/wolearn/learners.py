@@ -28,7 +28,7 @@ from . import backbone
 from .core import (Dataset, InterventionPlan, ParameterError, always_treat, feature_matrix,
                    never_treat, split_dataset)
 from .nuisance import PROPENSITY_FLOOR, _child_seed, fit_nuisances
-from .pseudo import PseudoConfig, cate_pseudo, gamma_plan, ipw_transform, risk_linear_term
+from .pseudo import PseudoConfig, cate_pseudo, ipw_transform, risk_linear_term
 
 LEARNERS = ("wo", "dr", "ipw", "ra", "ha")
 
@@ -68,8 +68,8 @@ class Cell:
         return feature_matrix(self.stage2, self.anchor, window=self.window)
 
 
-def prepare_cell(data, plan_a, plan_b, lam=0.5, hp=None, seed=0, window="full",
-                 floor=PROPENSITY_FLOOR, nuisances=None) -> Cell:
+def prepare_cell(data, plan_a, plan_b, lam=0.5, hp=backbone.Hyperparameters(), seed=0,
+                 window="full", floor=PROPENSITY_FLOOR, nuisances=None) -> Cell:
     """Split the data, fit both plans' nuisances on the nuisance split with
     one `fit_nuisances` call (the plans share its propensity classifiers),
     and evaluate them once per arm on the stage-2 split; the floored
@@ -120,10 +120,10 @@ def _with_plan(feats: np.ndarray, plan: InterventionPlan) -> np.ndarray:
     return np.concatenate([feats, cols], axis=1)
 
 
-def train_wo(cell: Cell, hp=None, pseudo_config: PseudoConfig = PseudoConfig(),
-             seed=0) -> CateModel:
+def train_wo(cell: Cell, hp=backbone.Hyperparameters(),
+             pseudo_config: PseudoConfig = PseudoConfig(), seed=0) -> CateModel:
     """Second stage of the overlap-weighted orthogonal learner."""
-    hp = replace(hp or backbone.Hyperparameters(), dropout=STAGE2_DROPOUT)
+    hp = replace(hp, dropout=STAGE2_DROPOUT, seed=_child_seed(seed, 0x10, 0))
     po = cate_pseudo(cell.ev_a, cell.ev_b, cell.y_final)
     weights = po.rho
     linear = risk_linear_term(po)
@@ -131,24 +131,22 @@ def train_wo(cell: Cell, hp=None, pseudo_config: PseudoConfig = PseudoConfig(),
         keep = po.rho > 0.0
         weights = np.where(keep, po.rho, 0.0)
         linear = np.where(keep, linear, 0.0)
-    net = backbone.fit_weighted_quadratic(cell.stage2_features, weights, linear,
-                                          hp=replace(hp, seed=_child_seed(seed, 0x10, 0)))
+    net = backbone.fit_weighted_quadratic(cell.stage2_features, weights, linear, hp=hp)
     return CateModel("wo", net, cell.plan_a, cell.plan_b, cell.window)
 
 
-def train_baseline(cell: Cell, name: str, hp=None, seed=0) -> CateModel:
+def train_baseline(cell: Cell, name: str, hp=backbone.Hyperparameters(), seed=0) -> CateModel:
     """Train one of the baseline learners: dr, ipw, ra, ha, or ipw_nofloor
     (ipw on unfloored propensities)."""
-    hp = hp or backbone.Hyperparameters()
     ev_a, ev_b, y = cell.ev_a, cell.ev_b, cell.y_final
     if name == "dr":
-        target = gamma_plan(ev_a, y) - gamma_plan(ev_b, y)
+        target = cate_pseudo(ev_a, ev_b, y).gamma
     elif name == "ipw":
         target = ipw_transform(ev_a, ev_b, y)
     elif name == "ipw_nofloor":
         target = ipw_transform(cell.ev_a_raw, cell.ev_b_raw, y)
     elif name == "ra":
-        target = ev_a.mu[:, 0] - ev_b.mu[:, 0]
+        target = cate_pseudo(ev_a, ev_b, y).mu
     elif name == "ha":
         return _train_ha(cell, hp, seed)
     else:
@@ -171,8 +169,8 @@ def _train_ha(cell: Cell, hp, seed) -> CateModel:
     return CateModel("ha", net, cell.plan_a, cell.plan_b, cell.window, plan_feature=True)
 
 
-def train_learner(cell: Cell, name: str, hp=None, pseudo_config=PseudoConfig(),
-                  seed=0) -> CateModel:
+def train_learner(cell: Cell, name: str, hp=backbone.Hyperparameters(),
+                  pseudo_config=PseudoConfig(), seed=0) -> CateModel:
     if name == "wo":
         return train_wo(cell, hp=hp, pseudo_config=pseudo_config, seed=seed)
     return train_baseline(cell, name, hp=hp, seed=seed)
@@ -183,7 +181,8 @@ def evaluate_rmse(model: CateModel, test_data: Dataset, truth: np.ndarray) -> fl
     return float(np.sqrt(np.mean((pred - truth) ** 2)))
 
 
-def build_cell(config, seed=0, hp=None, window="full", floor=PROPENSITY_FLOOR):
+def build_cell(config, seed=0, hp=backbone.Hyperparameters(), window="full",
+               floor=PROPENSITY_FLOOR):
     """Everything of one cell before the learners: simulate the train and
     test panels, compute the test-set truth of always- over never-treat at
     the configuration's anchor, and prepare the cell on the train panel
@@ -199,8 +198,8 @@ def build_cell(config, seed=0, hp=None, window="full", floor=PROPENSITY_FLOOR):
     return cell, test, truth
 
 
-def run_experiment(config, seed=0, learners=LEARNERS, hp=None, pseudo_config=PseudoConfig(),
-                   window="full", floor=PROPENSITY_FLOOR):
+def run_experiment(config, seed=0, learners=LEARNERS, hp=backbone.Hyperparameters(),
+                   pseudo_config=PseudoConfig(), window="full", floor=PROPENSITY_FLOOR):
     """One full cell: build it, fit every learner, score against ground
     truth. Returns {"seed": seed, "rmse": {learner: rmse}}."""
     cell, test, truth = build_cell(config, seed=seed, hp=hp, window=window, floor=floor)

@@ -75,16 +75,16 @@ class NuisanceEvaluation:
     def from_steps(cls, plan: InterventionPlan, data: Dataset, step) -> "NuisanceEvaluation":
         """Evaluate a plan's nuisances on `data`, one step at a time.
 
-        `step(k, j)` returns (plan propensity, response, tail weight or None)
-        at step k, time j = t + k; a None tail weight leaves W at one."""
+        `step(j)` returns (plan propensity, response, tail weight) at time
+        j = t + k, stored in column k; each may be one row, broadcast to
+        every unit. The source returns a tail weight of 1 at the plan's last
+        step."""
         steps = plan.horizon + 1
         pi = np.empty((data.n, steps))
         mu = np.empty((data.n, steps))
-        w_next = np.ones((data.n, steps))
+        w_next = np.empty((data.n, steps))
         for k in range(steps):
-            pi[:, k], mu[:, k], w = step(k, plan.start + k)
-            if w is not None:
-                w_next[:, k] = w
+            pi[:, k], mu[:, k], w_next[:, k] = step(plan.start + k)
         ind = (data.a[:, plan.start : plan.end + 1] == np.array(plan.values)).astype(float)
         return cls(plan, pi, ind, mu, w_next)
 
@@ -100,13 +100,12 @@ class FittedNuisances:
         self.window = window
 
     def evaluate(self, data: Dataset, floor: float = PROPENSITY_FLOOR) -> NuisanceEvaluation:
-        def step(k, j):
+        def step(j):
             feats = feature_matrix(data, j, window=self.window)
-            p1 = self.propensity_models[j].predict(feats)
-            pi = p1 if self.plan.values[k] == 1 else 1.0 - p1
+            pi = self.plan.propensity(j, self.propensity_models[j].predict(feats))
             mu = self.response_models[j].predict(feats)
-            w = None
-            if j in self.weight_models:
+            w = 1.0
+            if j < self.plan.end:
                 w = np.clip(self.weight_models[j].predict(feats), *WEIGHT_CLAMP)
             return pi, mu, w
 
@@ -126,11 +125,11 @@ def _check_support(data: Dataset, plan: InterventionPlan) -> None:
                                  f"fitting the plan's responses needs {MIN_FIT_UNITS}")
 
 
-def fit_propensity_models(data: Dataset, t: int, tau: int, hp=None, window="full", seed=0):
+def fit_propensity_models(data: Dataset, t: int, tau: int, hp=backbone.Hyperparameters(),
+                          window="full", seed=0):
     """One classifier P(A_j = 1 | H_j) per time j in [t, t+tau], trained as
     one stack; plans of either arm share these models. A treatment that is
     constant at some j raises ParameterError before any network trains."""
-    hp = hp or backbone.Hyperparameters()
     times = range(t, t + tau + 1)
     problems = []
     for j in times:
@@ -144,12 +143,12 @@ def fit_propensity_models(data: Dataset, t: int, tau: int, hp=None, window="full
     return dict(zip(times, backbone.fit_stack(problems, hps)))
 
 
-def fit_response_models(data: Dataset, plan: InterventionPlan, hp=None, window="full", seed=0):
+def fit_response_models(data: Dataset, plan: InterventionPlan, hp=backbone.Hyperparameters(),
+                        window="full", seed=0):
     """Backward recursion of plan-conditional responses. Returns
     ({j: regressor}, provenance log of per-stage subsample sizes). A step
     with fewer than MIN_FIT_UNITS units taking the plan's treatment raises
     ParameterError before any network trains."""
-    hp = hp or backbone.Hyperparameters()
     _check_support(data, plan)
     t, tau = plan.start, plan.horizon
     models = {}
@@ -168,8 +167,8 @@ def fit_response_models(data: Dataset, plan: InterventionPlan, hp=None, window="
     return models, log
 
 
-def fit_weight_models(data: Dataset, plan: InterventionPlan, propensity_models, hp=None,
-                      window="full", seed=0):
+def fit_weight_models(data: Dataset, plan: InterventionPlan, propensity_models,
+                      hp=backbone.Hyperparameters(), window="full", seed=0):
     """Tail-weight regressors {j: model of W_{j+1}(H_j)} for j < t+tau.
 
     The target for time j is the realized product of fitted plan
@@ -177,25 +176,21 @@ def fit_weight_models(data: Dataset, plan: InterventionPlan, propensity_models, 
     recovers its conditional expectation under the observational law. The
     steps train as one stack.
     """
-    hp = hp or backbone.Hyperparameters()
     t, tau = plan.start, plan.horizon
     if tau == 0:
         return {}
-    pi_hat = np.empty((data.n, tau + 1))
-    for k in range(tau + 1):
-        j = t + k
-        feats = feature_matrix(data, j, window=window)
-        p1 = propensity_models[j].predict(feats)
-        pi_hat[:, k] = p1 if plan.values[k] == 1 else 1.0 - p1
+    feats = {j: feature_matrix(data, j, window=window) for j in range(t, t + tau + 1)}
+    pi_hat = np.column_stack([plan.propensity(j, propensity_models[j].predict(f))
+                              for j, f in feats.items()])
     times = range(t, t + tau)
-    problems = [backbone.regression_problem(feature_matrix(data, j, window=window),
-                                            np.prod(pi_hat[:, j - t + 1 :], axis=1))
+    problems = [backbone.regression_problem(feats[j], np.prod(pi_hat[:, j - t + 1 :], axis=1))
                 for j in times]
     hps = [replace(hp, seed=_child_seed(seed, 0xC, j)) for j in times]
     return dict(zip(times, backbone.fit_stack(problems, hps)))
 
 
-def fit_nuisances(data: Dataset, plans, hp=None, window="full", seed=0) -> list:
+def fit_nuisances(data: Dataset, plans, hp=backbone.Hyperparameters(), window="full",
+                  seed=0) -> list:
     """Fit a cell's nuisances on the given (nuisance) split: one propensity
     stack that the plans share, then each plan's response recursion and
     tail-weight stack. Returns one FittedNuisances per plan.
@@ -238,12 +233,12 @@ class OracleBackedNuisances:
 
         oracle = self.oracle
 
-        def step(k, j):
+        def step(j):
             st = State.from_dataset(data, j)
             arrays = (st.x, st.x_prev, st.y_prev, st.a_prev)
             if all((v == v[:1]).all() for v in arrays):
                 st = State(*(v[:1] for v in arrays))  # one row; from_steps broadcasts it
-            w = oracle.tail_weight(j, st) if j < self.plan.end else None
-            return oracle.propensity(j, st), oracle.response_exact(j, st), w
+            return (oracle.propensity(j, st), oracle.response_exact(j, st),
+                    oracle.tail_weight(j, st))
 
         return NuisanceEvaluation.from_steps(self.plan, data, step).floored(max(floor, 1e-12))

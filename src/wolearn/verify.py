@@ -44,7 +44,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import dgp
-from .core import Dataset, ParameterError, always_treat, never_treat
+from .core import ParameterError, always_treat, never_treat
 from .nuisance import OracleBackedNuisances
 from .pseudo import cate_pseudo, gamma_plan, ipw_transform, rho_plan, risk_linear_term
 
@@ -84,23 +84,20 @@ def _z(values, target):
     return (m - target) / se
 
 
-def _completed_dataset(config, unit: Dataset, anchor: int, m: int, seed: int):
-    """m copies of the one trajectory in `unit` whose segment from `anchor`
-    onward is re-simulated under the observational law given the history."""
-    out = dgp.conditional_rollout(config, unit, anchor, m, seed)
-    steps = out["y"].shape[1]
-    x = np.repeat(unit.x, m, axis=0)
-    a = np.repeat(unit.a, m, axis=0).astype(float)
-    y = np.repeat(unit.y, m, axis=0)
-    x[:, anchor : anchor + steps] = out["x"]
-    a[:, anchor : anchor + steps] = out["a"]
-    y[:, anchor : anchor + steps] = out["y"]
-    return Dataset(x, a.astype(np.int64), y)
+def _oracle_pair(config, seed):
+    """Oracle-backed nuisances of always- and never-treat at the
+    configuration's anchor and horizon."""
+    t, tau = config.eval_anchor, config.tau
+    return tuple(OracleBackedNuisances(dgp.oracle_nuisances(config, plan(t, tau), seed=seed))
+                 for plan in (always_treat, never_treat))
 
 
-def _oracle_pair(config, plan_a, plan_b, seed=0):
-    return tuple(OracleBackedNuisances(dgp.oracle_nuisances(config, plan, seed=seed))
-                 for plan in (plan_a, plan_b))
+def _oracle_panel(config, seed, n):
+    """n simulated units and both arms' oracle evaluations on them at floor
+    0: (data, ev_a, ev_b, y_final)."""
+    data = dgp.simulate(config, seed=seed, n=n)
+    ev_a, ev_b = (oracle.evaluate(data, floor=0.0) for oracle in _oracle_pair(config, seed))
+    return data, ev_a, ev_b, data.y[:, config.eval_anchor + config.tau]
 
 
 def _conditional_mean_check(name, stat_fn, seed, n_histories, m, min_pass, config,
@@ -113,15 +110,14 @@ def _conditional_mean_check(name, stat_fn, seed, n_histories, m, min_pass, confi
     anchor column of the clean evaluations."""
     config = config or dgp.DgpConfig.make("gamma", gamma=2.0)
     t, tau = config.eval_anchor, config.tau
-    plan_a, plan_b = always_treat(t, tau), never_treat(t, tau)
     data = dgp.simulate(config, seed=seed, n=n_histories)
-    na, nb = _oracle_pair(config, plan_a, plan_b, seed=seed)
+    na, nb = _oracle_pair(config, seed)
 
     worst = 0.0
     n_ok = 0
     rows = []
     for i in range(n_histories):
-        comp = _completed_dataset(config, data.subset([i]), t, m, seed=seed * 1000 + i)
+        comp = dgp.conditional_rollout(config, data.subset([i]), t, m, seed=seed * 1000 + i)
         ev_a = na.evaluate(comp, floor=0.0)
         ev_b = nb.evaluate(comp, floor=0.0)
         targets = tuple(float(v) for v in (ev_a.mu[0, 0], ev_b.mu[0, 0],
@@ -207,16 +203,11 @@ def check_risk_equivalence(seed=0, n=200000, config=None, candidates=None) -> Di
     equals that of the weighted risk rho g^2 - 2 q g. A single-candidate
     menu passes vacuously."""
     config = config or dgp.DgpConfig.make("gamma", gamma=2.0)
-    t, tau = config.eval_anchor, config.tau
-    plan_a, plan_b = always_treat(t, tau), never_treat(t, tau)
-    data = dgp.simulate(config, seed=seed, n=n)
-    na, nb = _oracle_pair(config, plan_a, plan_b, seed=seed)
-    ev_a = na.evaluate(data, floor=0.0)
-    ev_b = nb.evaluate(data, floor=0.0)
-    po = cate_pseudo(ev_a, ev_b, data.y[:, t + tau])
+    data, ev_a, ev_b, y_final = _oracle_panel(config, seed, n)
+    po = cate_pseudo(ev_a, ev_b, y_final)
     truth, omega = po.mu, po.omega  # the oracle's effect and overlap weight
     if candidates is None:
-        candidates = _candidate_functions(truth, np.mean(data.x[:, t], axis=-1))
+        candidates = _candidate_functions(truth, np.mean(data.x[:, config.eval_anchor], axis=-1))
 
     def emp(g):
         return po.rho * (po.mu - g) ** 2 + 2.0 * po.omega * (po.gamma - po.mu) * (po.mu - g)
@@ -274,17 +265,12 @@ def check_orthogonality(seed=0, n=200000, config=None) -> DiagnosticReport:
     to mu-perturbations and the inverse-propensity response to
     pi-perturbations must be first order (slope <= SLOPE_FIRST_ORDER)."""
     config = config or dgp.DgpConfig.make("gamma", gamma=1.0)
-    t, tau = config.eval_anchor, config.tau
-    plan_a, plan_b = always_treat(t, tau), never_treat(t, tau)
-    data = dgp.simulate(config, seed=seed, n=n)
-    y_final = data.y[:, t + tau]
-    steps = tau + 1
+    t, steps = config.eval_anchor, config.tau + 1
 
     # The oracles are evaluated once per arm; each probe shifts copies of
     # the evaluations and floors them.
-    na, nb = _oracle_pair(config, plan_a, plan_b, seed=seed)
-    clean_a, clean_b = na.evaluate(data), nb.evaluate(data)
-    truth = clean_a.mu[:, 0] - clean_b.mu[:, 0]
+    data, clean_a, clean_b, y_final = _oracle_panel(config, seed, n)
+    truth = cate_pseudo(clean_a, clean_b, y_final).mu
     g = truth + 0.3
     dg = np.tanh(np.mean(data.x[:, t], axis=-1) + 0.5)
 
@@ -314,7 +300,7 @@ def check_orthogonality(seed=0, n=200000, config=None) -> DiagnosticReport:
         po = cate_pseudo(ev_a, ev_b, y_final)
         return {
             "wo": -2.0 * (risk_linear_term(po) - po.rho * g) * dg,
-            "ra": -2.0 * (ev_a.mu[:, 0] - ev_b.mu[:, 0] - g) * dg,
+            "ra": -2.0 * (po.mu - g) * dg,
             "ipw": -2.0 * (ipw_transform(ev_a, ev_b, y_final) - g) * dg,
         }
 
@@ -369,11 +355,7 @@ def check_r_learner_reduction(seed=0, n=4000, m=100000, n_histories=10,
     if config.tau != 0:
         raise ParameterError("the R-learner reduction needs a tau = 0 configuration")
     t = config.eval_anchor
-    plan_a, plan_b = always_treat(t, 0), never_treat(t, 0)
-    data = dgp.simulate(config, seed=seed, n=n)
-    y = data.y[:, t]
-    na, nb = _oracle_pair(config, plan_a, plan_b, seed=seed)
-    ev_a, ev_b = na.evaluate(data, floor=0.0), nb.evaluate(data, floor=0.0)
+    data, ev_a, ev_b, y = _oracle_panel(config, seed, n)
 
     e = ev_a.pi[:, 0]
     m_bar = e * ev_a.mu[:, 0] + (1.0 - e) * ev_b.mu[:, 0]

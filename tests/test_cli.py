@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from wolearn.cli import SWEEP_COLUMNS, ExperimentSpec, _check_consistency, _load_spec, main
+from wolearn.cli import (SWEEP_COLUMNS, ExperimentSpec, _check_consistency, _load_spec, main,
+                         run_cells)
 from wolearn.core import Dataset, ParameterError
 from wolearn.dgp import ConfigError
 from wolearn.learners import run_experiment
@@ -80,6 +81,13 @@ class TestExperimentSpec:
         ({"axis": "gamma", "grid": [2.0, 4.0, 2.0]}, "repeats"),
         ({"window": 2.7}, "window"),  # int() would truncate it to 2
         ({"window": "abc"}, "window"),
+        ({"seeds": [1.5, 2.7]}, "seeds"),  # int() would truncate them to (1, 2)
+        ({"seeds": ["a"]}, "seeds"),
+        ({"axis": "tau", "grid": ["abc"]}, "grid"),
+        ({"axis": "tau", "grid": [None]}, "grid"),
+        ({"grid": [2.0, 3.0]}, "without a sweep axis"),  # would rerun one cell per value
+        ({"dgp": {"T": 2.5}}, "T"),
+        ({"window": True}, "window"),  # a JSON true is not the step count 1
     ])
     def test_faults_fail_when_built(self, fault, match):
         with pytest.raises(ParameterError, match=match):
@@ -97,6 +105,8 @@ class TestExperimentSpec:
         as_str = ExperimentSpec(**{**TINY, "window": "1"})
         as_int = ExperimentSpec(**{**TINY, "window": 1})
         assert as_str == as_int and as_str.hash == as_int.hash and as_str.window == 1
+        assert ExperimentSpec(**{**TINY, "window": 2.0}).window == 2
+        assert ExperimentSpec(**{**TINY, "seeds": [0, 1.0]}).seeds == (0, 1)
         assert ExperimentSpec(**{**TINY, "window": "full"}).window == "full"
 
 
@@ -223,6 +233,17 @@ class TestSweepCommand:
         assert [f["cell"] for f in failures] == [[2.0, 0], [2.0, 1], [4.0, 0], [4.0, 1]]
         assert all("ParameterError" in f["error"] and "units take" in f["error"]
                    for f in failures)
+
+    def test_zero_workers_rejected_before_any_work(self, tmp_path):
+        spec = ExperimentSpec(**{**TINY, "axis": "gamma", "grid": [2.0]})
+        with pytest.raises(ParameterError, match="workers"):
+            run_cells(spec, 0)
+        out = tmp_path / "out"
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({**spec.to_dict(), "out_dir": str(out)}))
+        result = CliRunner().invoke(main, ["sweep", "--spec", str(spec_file), "--workers", "0"])
+        assert result.exit_code == 2 and "--workers" in result.output
+        assert not out.exists()
 
     def test_sweep_without_axis_rejected(self, tmp_path):
         runner = CliRunner()

@@ -39,6 +39,23 @@ class TestInterventionPlan:
             InterventionPlan(0, (0, 2))
         with pytest.raises(ParameterError, match="negative"):
             InterventionPlan(-1, (1, 1))
+        # int() would truncate these to a valid plan
+        with pytest.raises(ParameterError, match="plan value"):
+            InterventionPlan(0, (0.5, 1))
+        with pytest.raises(ParameterError, match="plan start"):
+            InterventionPlan(1.5, (1, 1))
+
+    def test_value_and_propensity(self):
+        plan = InterventionPlan(2, (1, 0, 1))
+        p1 = np.array([0.2, 0.7])
+        assert [plan.value(j) for j in (2, 3, 4)] == [1, 0, 1]
+        for j in (1, 5):
+            with pytest.raises(ParameterError, match="outside plan range"):
+                plan.value(j)
+            with pytest.raises(ParameterError, match="outside plan range"):
+                plan.propensity(j, p1)
+        assert plan.propensity(2, p1) is p1
+        np.testing.assert_array_equal(plan.propensity(3, p1), 1.0 - p1)
 
 
 class TestFeatures:

@@ -71,6 +71,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match="at least 1"):
             DgpConfig.make("gamma", **{size: 0})
 
+    @pytest.mark.parametrize("fault", [
+        {"T": 2.5}, {"d_x": 1.5}, {"n_train": 100.5}, {"n_test": 2.5}, {"tau": 1.5},
+        {"sigma_y": -0.3}, {"sigma_x": -0.1}, {"sigma_y": math.inf}, {"sigma_x": math.nan},
+        {"gamma": math.inf}, {"gamma": math.nan},
+    ])
+    def test_bad_setting_fails_by_name_when_built(self, fault):
+        # unchecked, each builds and then fails inside simulate, or runs
+        # with a fractional anchor
+        (name,) = fault
+        with pytest.raises(ParameterError, match=name):
+            DgpConfig.make("gamma", **fault)
+
+    def test_integral_sizes_become_ints(self):
+        cfg = DgpConfig.make("gamma", T=5.0, n_train=np.int64(40))
+        assert type(cfg.T) is int and type(cfg.n_train) is int
+        assert cfg == DgpConfig.make("gamma", T=5, n_train=40)
+
 
 class TestSimulate:
     def test_shapes_and_determinism(self):
@@ -116,10 +133,17 @@ class TestSimulate:
         data = simulate(cfg, seed=2)
         unit = data.subset([2])
         out = conditional_rollout(cfg, unit, 2, m=20, seed=0)
-        assert out["y"].shape == (20, cfg.T - 2) and set(np.unique(out["a"])) <= {0.0, 1.0}
-        np.testing.assert_array_equal(out["x"][:, 0], np.repeat(unit.x[:, 2], 20, axis=0))
+        assert out.y.shape == (20, cfg.T) and out.x.shape == (20, cfg.T, cfg.d_x)
+        assert set(np.unique(out.a)) <= {0, 1}
+        # the columns before the anchor are the unit's, the anchor
+        # covariates too; from the anchor on the copies differ
+        for arr, own in ((out.x, unit.x), (out.a, unit.a), (out.y, unit.y)):
+            np.testing.assert_array_equal(arr[:, :2], np.repeat(own[:, :2], 20, axis=0))
+        np.testing.assert_array_equal(out.x[:, 2], np.repeat(unit.x[:, 2], 20, axis=0))
+        assert np.unique(out.y[:, cfg.T - 1]).size > 1
         again = conditional_rollout(cfg, unit, 2, m=20, seed=0)
-        np.testing.assert_array_equal(out["y"], again["y"])
+        for arr, arr_again in ((out.x, again.x), (out.a, again.a), (out.y, again.y)):
+            np.testing.assert_array_equal(arr, arr_again)
         with pytest.raises(ParameterError):
             conditional_rollout(cfg, data.subset([0, 1]), 2, m=5, seed=0)
         with pytest.raises(IndexError):
@@ -138,8 +162,8 @@ class TestSimulate:
         with pytest.raises(IndexError):  # not the last column
             State.from_dataset(data, -1)
         out = conditional_rollout(cfg, data.subset([1]), 0, m=7, seed=0)
-        assert out["y"].shape == (7, cfg.T) and np.isfinite(out["y"]).all()
-        np.testing.assert_array_equal(out["x"][:, 0], np.repeat(data.x[1:2, 0], 7, axis=0))
+        assert out.y.shape == (7, cfg.T) and np.isfinite(out.y).all()
+        np.testing.assert_array_equal(out.x[:, 0], np.repeat(data.x[1:2, 0], 7, axis=0))
         m = 4000
         state = State.from_dataset(data.subset([1]), 0).tile(m)
         rng = np.random.default_rng(np.random.SeedSequence((0, 0xA0)))

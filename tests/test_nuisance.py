@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from wolearn import dgp, verify
 from wolearn.backbone import Hyperparameters
 from wolearn.core import ParameterError, always_treat, never_treat
-from wolearn.dgp import DgpConfig, State, oracle_nuisances, propensity_logit, sigmoid, simulate
+from wolearn.dgp import (DgpConfig, State, conditional_rollout, oracle_nuisances, propensity_logit,
+                         sigmoid, simulate)
 from wolearn.nuisance import (
     MIN_FIT_UNITS,
     PROPENSITY_FLOOR,
@@ -91,7 +91,7 @@ class TestOracleBacked:
         # so the oracle sees one row there; the next step is row by row.
         cfg = DgpConfig.make("gamma", gamma=2.0)
         t, m = cfg.eval_anchor, 300
-        comp = verify._completed_dataset(cfg, simulate(cfg, seed=0, n=1), t, m, seed=0)
+        comp = conditional_rollout(cfg, simulate(cfg, seed=0, n=1), t, m, seed=0)
         oracle = oracle_nuisances(cfg, always_treat(t, 1))
         expect = []  # the oracle called row by row
         for j in (t, t + 1):
@@ -99,7 +99,7 @@ class TestOracleBacked:
             w = oracle.tail_weight(j, st_) if j == t else np.ones(m)
             expect.append((oracle.propensity(j, st_), oracle.response_exact(j, st_), w))
         ev, rows = self._recording_evaluate(monkeypatch, oracle, comp)
-        assert rows == {"propensity": [1, m], "tail_weight": [1]}
+        assert rows == {"propensity": [1, m], "tail_weight": [1, m]}
         for k, (pi, mu, w) in enumerate(expect):
             assert np.array_equal(ev.pi[:, k], np.clip(pi, 1e-12, 1.0))
             assert np.array_equal(ev.mu[:, k], mu)
@@ -108,7 +108,7 @@ class TestOracleBacked:
     def test_distinct_states_evaluated_row_by_row(self, monkeypatch):
         cfg, data, t, plan = _setup(n=40)
         _, rows = self._recording_evaluate(monkeypatch, oracle_nuisances(cfg, plan), data)
-        assert rows == {"propensity": [40, 40], "tail_weight": [40]}
+        assert rows == {"propensity": [40, 40], "tail_weight": [40, 40]}
 
 
 class TestFittedNuisances:

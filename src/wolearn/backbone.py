@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ParameterError, sigmoid
+from .core import ParameterError, check_int, sigmoid
 
 # Adam's moment decays and denominator guard, the usual defaults
 ADAM_BETA1 = 0.9
@@ -41,11 +41,19 @@ class Hyperparameters:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.epochs < 1 or self.batch_size < 1:
-            raise ParameterError("learning_rate, epochs, batch_size must be positive")
+        for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
+            value = check_int(getattr(self, name), name)
+            if value < low:
+                raise ParameterError(f"{name}={value} must be at least {low}")
+            object.__setattr__(self, name, value)
+        hidden = tuple(check_int(h, "hidden width") for h in self.hidden)
+        if any(h < 1 for h in hidden):
+            raise ParameterError(f"hidden widths {hidden} must be at least 1")
+        object.__setattr__(self, "hidden", hidden)
+        if self.learning_rate <= 0:
+            raise ParameterError("learning_rate must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ParameterError(f"dropout {self.dropout} outside [0, 1)")
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
 
 
 def _size(dims):

@@ -17,8 +17,12 @@ In every family the covariate process is autonomous (treatments never feed
 back into X) and Y_{t+tau} depends on the final treatment and the covariate
 state only. So the mean outcome under a plan (`expected_outcome`) is a
 Gaussian integral per covariate dimension for every family, and it gives
-the exact test-set truth and the oracle responses; the Monte Carlo
-rollouts in `tests/monte_carlo.py` are independent cross-checks.
+the exact test-set truth and the oracle responses. Every family's
+propensity is a link (`_link`) of one linear index whose next-step value
+is Gaussian given the state and the treatment, so the oracle tail weight
+one step before a plan's end is a 1-d Gaussian integral too
+(`OracleNuisanceSet`). The Monte Carlo rollouts in `tests/monte_carlo.py`
+are independent cross-checks of all of these.
 `conditional_rollout` completes m copies of one unit's history under the
 observational law, as the per-history checks of `verify` need.
 `DgpConfig` rejects an unknown kind, unknown settings, non-integral or
@@ -104,10 +108,9 @@ class DgpConfig:
         return self.T - 1 - self.tau
 
 
-def propensity_logit(config: DgpConfig, x_t, y_prev, a_prev):
-    """f_a evaluated on state arrays; x_t has trailing dim d_x."""
-    lin_x = np.mean(x_t, axis=-1)
-    base = 0.5 * lin_x + 0.5 * y_prev - 0.5 * (a_prev - 0.5)
+def _link(config: DgpConfig, base):
+    """The kind's map from the linear index u = 0.5 mean_p X_{t,p} +
+    0.5 Y_{t-1} - 0.5 (A_{t-1} - 0.5) to the propensity logit f_a."""
     if config.kind == "gamma":
         return config.gamma * base
     if config.kind == "pi":
@@ -115,6 +118,12 @@ def propensity_logit(config: DgpConfig, x_t, y_prev, a_prev):
     if config.kind == "mu":
         return base
     return 3.5 * base  # kind "n"
+
+
+def propensity_logit(config: DgpConfig, x_t, y_prev, a_prev):
+    """f_a evaluated on state arrays; x_t has trailing dim d_x."""
+    lin_x = np.mean(x_t, axis=-1)
+    return _link(config, 0.5 * lin_x + 0.5 * y_prev - 0.5 * (a_prev - 0.5))
 
 
 def outcome_mean(config: DgpConfig, x_t, x_prev, a_t):
@@ -191,8 +200,11 @@ def rollout(config: DgpConfig, state: State, steps: int, rng, forced=None):
 
 
 def simulate(config: DgpConfig, seed: int, n=None) -> Dataset:
-    """Draw a panel of n trajectories (default n_train) under the configured DGP."""
-    n = config.n_train if n is None else n
+    """Draw a panel of n trajectories (default n_train) under the configured
+    DGP; n must be an integer of at least 1, as n_train must."""
+    n = config.n_train if n is None else check_int(n, "n")
+    if n < 1:
+        raise ConfigError(f"n={n} must be at least 1")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xD6B)))
     x0 = rng.normal(size=(n, config.d_x))
     state = State(
@@ -305,28 +317,19 @@ class OracleNuisanceSet:
 
     Every method takes the time index j and a `State` (the histories at j,
     vectorized over its leading axis), as `OracleBackedNuisances` builds it
-    with `State.from_dataset`. Propensities and responses are closed form
-    for every family (responses through `expected_outcome`); the plan's
+    with `State.from_dataset`. All three are closed form and deterministic
+    given (config, plan). Responses come from `expected_outcome`; the plan's
     `InterventionPlan.propensity` turns P(A_j = 1 | H_j) into the plan
-    propensity. Tail weights are 1 at the plan's last step and otherwise
-    use Gauss-Hermite quadrature where the family admits it and Monte Carlo
-    against the known generator otherwise, with `m` draws per state and
-    randomness seeded by `seed`. All evaluators are deterministic given
-    (config, m, seed).
+    propensity. The tail weight is 1 at the plan's last step and a 1-d
+    Gauss-Hermite integral one step before it, for every kind; plans with
+    a longer tail (tau >= 2) raise ParameterError.
     """
 
-    def __init__(self, config: DgpConfig, plan: InterventionPlan, m: int = 10000, seed: int = 0):
+    def __init__(self, config: DgpConfig, plan: InterventionPlan):
         self.config = config
         self.plan = plan
         self.t = plan.start
         self.tau = plan.horizon
-        self.m = m
-        self.seed = seed
-
-    def _rollout(self, state: State, steps: int, entropy: tuple, forced=None):
-        """`rollout` of m copies of every state, seeded by `entropy`."""
-        rng = np.random.default_rng(np.random.SeedSequence(entropy))
-        return rollout(self.config, state.tile(self.m), steps, rng=rng, forced=forced)
 
     def propensity(self, j: int, state: State):
         """pi_j^plan: probability of the plan's treatment at time j."""
@@ -340,39 +343,30 @@ class OracleNuisanceSet:
 
     def tail_weight(self, j: int, state: State):
         """E[prod_{k=j+1}^{t+tau} pi_k^plan | H_j] evaluated at states."""
-        cfg, delta = self.config, self.t + self.tau - j
+        delta = self.t + self.tau - j
         if delta == 0:
             return np.ones(len(state.y_prev))
-        if delta == 1 and cfg.kind in ("gamma", "pi") and cfg.d_x == 1:
+        if delta == 1:
             return self._tail_weight_quadrature(j, state)
-        return self._tail_weight_mc(j, state)
+        raise ParameterError(f"the oracle tail weight needs at most one remaining step; "
+                             f"time {j} of a plan ending at {self.t + self.tau} has {delta}")
 
     def _tail_weight_quadrature(self, j: int, state: State):
         # One remaining step: integrate pi_{j+1} over (A_j, eps_y, eps_x).
-        # The propensity argument is linear in 0.5 eps_x + 0.5 eps_y, a single
-        # Gaussian, so 1-d Gauss-Hermite is effectively exact.
+        # The index u_{j+1} = 0.5 mean_p X_{j+1,p} + 0.5 Y_j - 0.5 (A_j - 0.5)
+        # is, given A_j, the Gaussian 0.5 (mean_p eps_x + eps_y) plus a known
+        # mean, so 1-d Gauss-Hermite over u is effectively exact.
         cfg, x = self.config, state.x
         xs = np.mean(x, axis=-1)
         p1 = sigmoid(propensity_logit(cfg, x, state.y_prev, state.a_prev))
-        sd = 0.5 * math.sqrt(cfg.sigma_x**2 + cfg.sigma_y**2)
+        sd = 0.5 * math.sqrt(cfg.sigma_x**2 / cfg.d_x + cfg.sigma_y**2)
         total = np.zeros_like(xs)
         for a_j, w in ((1.0, p1), (0.0, 1.0 - p1)):
-            u_mean = 0.25 * xs + 0.5 * outcome_mean(cfg, x, None, a_j) - 0.5 * (a_j - 0.5)
-            if cfg.kind == "gamma":
-                fn = lambda u: sigmoid(cfg.gamma * u)
-            else:
-                fn = lambda u: sigmoid(np.sin(u))
-            total += w * self.plan.propensity(j + 1, _gh_expect(fn, u_mean, sd))
+            u_mean = 0.25 * xs + 0.5 * outcome_mean(cfg, x, state.x_prev, a_j) - 0.5 * (a_j - 0.5)
+            p1_next = _gh_expect(lambda u: sigmoid(_link(cfg, u)), u_mean, sd)
+            total += w * self.plan.propensity(j + 1, p1_next)
         return total
 
-    def _tail_weight_mc(self, j: int, state: State):
-        steps = self.t + self.tau - j + 1
-        out = self._rollout(state, steps, (self.seed, 0xE7, 2))
-        prod = np.ones(len(out["p1"]))
-        for s in range(1, steps):
-            prod *= self.plan.propensity(j + s, out["p1"][:, s])
-        return prod.reshape(-1, self.m).mean(axis=-1)
 
-
-def oracle_nuisances(config: DgpConfig, plan: InterventionPlan, m: int = 10000, seed: int = 0):
-    return OracleNuisanceSet(config, plan, m=m, seed=seed)
+# the name under which the benchmark builds oracles
+oracle_nuisances = OracleNuisanceSet

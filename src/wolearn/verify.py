@@ -84,11 +84,11 @@ def _z(values, target):
     return (m - target) / se
 
 
-def _oracle_pair(config, seed):
+def _oracle_pair(config):
     """Oracle-backed nuisances of always- and never-treat at the
     configuration's anchor and horizon."""
     t, tau = config.eval_anchor, config.tau
-    return tuple(OracleBackedNuisances(dgp.oracle_nuisances(config, plan(t, tau), seed=seed))
+    return tuple(OracleBackedNuisances(dgp.OracleNuisanceSet(config, plan(t, tau)))
                  for plan in (always_treat, never_treat))
 
 
@@ -96,7 +96,7 @@ def _oracle_panel(config, seed, n):
     """n simulated units and both arms' oracle evaluations on them at floor
     0: (data, ev_a, ev_b, y_final)."""
     data = dgp.simulate(config, seed=seed, n=n)
-    ev_a, ev_b = (oracle.evaluate(data, floor=0.0) for oracle in _oracle_pair(config, seed))
+    ev_a, ev_b = (oracle.evaluate(data, floor=0.0) for oracle in _oracle_pair(config))
     return data, ev_a, ev_b, data.y[:, config.eval_anchor + config.tau]
 
 
@@ -111,7 +111,7 @@ def _conditional_mean_check(name, stat_fn, seed, n_histories, m, min_pass, confi
     config = config or dgp.DgpConfig.make("gamma", gamma=2.0)
     t, tau = config.eval_anchor, config.tau
     data = dgp.simulate(config, seed=seed, n=n_histories)
-    na, nb = _oracle_pair(config, seed)
+    na, nb = _oracle_pair(config)
 
     worst = 0.0
     n_ok = 0

@@ -1,9 +1,10 @@
 """Monte Carlo cross-checks of the closed-form ground truth in `wolearn.dgp`.
 
-The package computes every truth and oracle response in closed form
-(`dgp.expected_outcome`); these rollout estimates are the independent
-reference the tests hold the closed forms to. Each returns a mean and its
-standard error.
+The package computes every truth, oracle response and oracle tail weight in
+closed form (`dgp.expected_outcome`, `OracleNuisanceSet.tail_weight`);
+these rollout estimates are the independent reference the tests hold the
+closed forms to. Each takes its number of draws `m` and its `seed` as
+arguments and returns a mean and its standard error.
 """
 
 from __future__ import annotations
@@ -44,22 +45,40 @@ def _per_state(draws, m: int):
     return draws.mean(axis=1), draws.std(axis=1, ddof=1) / math.sqrt(m)
 
 
-def response_mc(oracle: dgp.OracleNuisanceSet, j: int, state: dgp.State):
-    """mu_j^plan by single-pass forced rollout of `oracle.m` copies of each
-    state; returns (mean, se)."""
+def _rollout(oracle: dgp.OracleNuisanceSet, state: dgp.State, steps: int, m: int,
+             entropy: tuple, forced=None):
+    """`dgp.rollout` of m copies of every state, seeded by `entropy`."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy))
+    return dgp.rollout(oracle.config, state.tile(m), steps, rng=rng, forced=forced)
+
+
+def response_mc(oracle: dgp.OracleNuisanceSet, j: int, state: dgp.State, m: int, seed=0):
+    """mu_j^plan by single-pass forced rollout of m copies of each state;
+    returns (mean, se)."""
     steps = oracle.t + oracle.tau - j + 1
     forced = list(oracle.plan.values[j - oracle.t :])
-    out = oracle._rollout(state, steps, (oracle.seed, 0xE5, 0), forced=forced)
-    return _per_state(out["y"][:, -1], oracle.m)
+    out = _rollout(oracle, state, steps, m, (seed, 0xE5, 0), forced=forced)
+    return _per_state(out["y"][:, -1], m)
 
 
-def response_nested_mc(oracle: dgp.OracleNuisanceSet, state: dgp.State):
+def response_nested_mc(oracle: dgp.OracleNuisanceSet, state: dgp.State, m: int, seed=0):
     """mu_t^plan by the two-stage route: one forced step, then the exact
     next-stage response; cross-check for response_mc (tau = 1 only)."""
     if oracle.tau != 1:
         raise NotImplementedError("nested oracle implemented for tau = 1")
-    one = oracle._rollout(state, 2, (oracle.seed, 0xE6, 1),
-                          forced=[oracle.plan.values[0], None])
+    one = _rollout(oracle, state, 2, m, (seed, 0xE6, 1), forced=[oracle.plan.values[0], None])
     nxt = dgp.State(x=one["x"][:, 1], x_prev=one["x"][:, 0], y_prev=one["y"][:, 0],
                     a_prev=one["a"][:, 0])
-    return _per_state(oracle.response_exact(oracle.t + 1, nxt), oracle.m)
+    return _per_state(oracle.response_exact(oracle.t + 1, nxt), m)
+
+
+def tail_weight_mc(oracle: dgp.OracleNuisanceSet, j: int, state: dgp.State, m: int, seed=0):
+    """E[prod_{k=j+1}^{t+tau} pi_k^plan | H_j] by observational rollout of m
+    copies of each state, for any number of remaining steps; returns
+    (mean, se)."""
+    steps = oracle.t + oracle.tau - j + 1
+    out = _rollout(oracle, state, steps, m, (seed, 0xE7, 2))
+    prod = np.ones(len(out["p1"]))
+    for s in range(1, steps):
+        prod *= oracle.plan.propensity(j + s, out["p1"][:, s])
+    return _per_state(prod, m)

@@ -243,3 +243,21 @@ class TestHyperparameters:
                     dict(dropout=1.0), dict(dropout=-0.1)):
             with pytest.raises(ParameterError):
                 Hyperparameters(**bad)
+
+    @pytest.mark.parametrize("bad, match", [
+        (dict(epochs=2.5), "epochs"),
+        (dict(batch_size=10.5), "batch_size"),
+        (dict(seed=1.5), "seed"),
+        (dict(seed=-1), "seed"),
+        (dict(hidden=(2.5,)), "hidden"),
+        (dict(hidden=(0,)), "hidden"),
+    ])
+    def test_integer_fields_checked_when_built(self, bad, match):
+        # each used to build and then fail in the fit, or to truncate silently
+        with pytest.raises(ParameterError, match=match):
+            Hyperparameters(**bad)
+
+    def test_integral_floats_become_ints(self):
+        hp = Hyperparameters(hidden=(4.0,), epochs=2.0, batch_size=8.0, seed=0.0)
+        assert (hp.hidden, hp.epochs, hp.batch_size, hp.seed) == ((4,), 2, 8, 0)
+        assert all(type(v) is int for v in (*hp.hidden, hp.epochs, hp.batch_size, hp.seed))

@@ -10,11 +10,11 @@ from wolearn.core import ParameterError, always_treat, never_treat
 from wolearn.dgp import (
     ConfigError,
     DgpConfig,
+    OracleNuisanceSet,
     State,
     _gauss_exp_moment,
     conditional_rollout,
     exact_cate,
-    oracle_nuisances,
     outcome_mean,
     propensity_logit,
     rollout,
@@ -24,7 +24,8 @@ from wolearn.dgp import (
 from wolearn.dgp import test_set_truth as truth_for_test_set
 from wolearn.nuisance import OracleBackedNuisances
 
-from monte_carlo import HorizonError, ground_truth_cate, response_mc, response_nested_mc
+from monte_carlo import (HorizonError, ground_truth_cate, response_mc, response_nested_mc,
+                         tail_weight_mc)
 
 
 class TestConfig:
@@ -102,6 +103,20 @@ class TestSimulate:
         assert not np.array_equal(d1.y, d3.y)
         assert d1.meta["generator"] == "gamma" and d1.meta["seed"] == 3
         assert "seed" not in d1.meta["config"]
+
+    @pytest.mark.parametrize("n, match", [(0, "at least 1"), (-1, "at least 1"),
+                                          (2.5, "not an integer"), ("x", "not an integer")])
+    def test_bad_panel_size_rejected(self, n, match):
+        # an explicit n is held to n_train's rules
+        cfg = DgpConfig.make("gamma", n_train=50)
+        with pytest.raises(ParameterError, match=match):
+            simulate(cfg, seed=0, n=n)
+
+    @pytest.mark.parametrize("n", [3.0, "3"])
+    def test_integral_panel_size_accepted(self, n):
+        cfg = DgpConfig.make("gamma", n_train=50)
+        data = simulate(cfg, seed=0, n=n)
+        np.testing.assert_array_equal(data.y, simulate(cfg, seed=0, n=3).y)
 
     def test_covariate_marginals_stationary(self):
         # X_t = 0.5 X_{t-1} + eps with var(eps) = 0.75 keeps unit variance.
@@ -237,12 +252,12 @@ class TestClosedForms:
 
 
 class TestOracleNuisances:
-    def _setup(self, kind="gamma", tau=1, n=4, m=4000):
-        cfg = DgpConfig.make(kind, n_train=n)
+    def _setup(self, kind="gamma", tau=1, n=4, **config_over):
+        cfg = DgpConfig.make(kind, n_train=n, **config_over)
         data = simulate(cfg, seed=8)
         t = cfg.T - 1 - tau
         plan = always_treat(t, tau)
-        return cfg, data, t, oracle_nuisances(cfg, plan, m=m, seed=0)
+        return cfg, data, t, OracleNuisanceSet(cfg, plan)
 
     def test_propensity_closed_form(self):
         cfg, data, t, oracle = self._setup()
@@ -250,39 +265,48 @@ class TestOracleNuisances:
         p = oracle.propensity(t, st_)
         expect = sigmoid(propensity_logit(cfg, st_.x, st_.y_prev, st_.a_prev))
         np.testing.assert_allclose(p, expect)
-        never = oracle_nuisances(cfg, never_treat(t, 1), m=100)
+        never = OracleNuisanceSet(cfg, never_treat(t, 1))
         np.testing.assert_allclose(never.propensity(t, st_), 1.0 - expect)
 
     def test_response_exact_vs_mc(self):
         for kind, tau in [("gamma", 1), ("pi", 2), ("mu", 1), ("n", 2), ("mu", 3)]:
-            cfg, data, t, oracle = self._setup(kind, tau, m=20000)
+            cfg, data, t, oracle = self._setup(kind, tau)
             st_ = State.from_dataset(data, t)
-            mc, se = response_mc(oracle, t, st_)
+            mc, se = response_mc(oracle, t, st_, m=20000)
             ex = oracle.response_exact(t, st_)
             assert (np.abs(mc - ex) < 4.0 * se + 1e-3).all(), (kind, tau)
 
     def test_response_nested_mc_cross_check(self):
-        cfg, data, t, oracle = self._setup("gamma", 1, m=20000)
+        cfg, data, t, oracle = self._setup("gamma", 1)
         st_ = State.from_dataset(data, t)
-        nested, se = response_nested_mc(oracle, st_)
+        nested, se = response_nested_mc(oracle, st_, m=20000)
         ex = oracle.response_exact(t, st_)
         assert (np.abs(nested - ex) < 4.0 * se + 1e-3).all()
 
-    def test_tail_weight_quadrature_vs_mc(self):
-        cfg, data, t, oracle = self._setup("gamma", 1, m=40000)
+    @pytest.mark.parametrize("kind, d_x", [("gamma", 1), ("gamma", 5), ("pi", 1), ("pi", 5),
+                                           ("mu", 1), ("mu", 5), ("n", 1), ("n", 5)])
+    def test_tail_weight_quadrature_vs_mc(self, kind, d_x):
+        # One quadrature serves every kind and dimension: kind mu's outcome
+        # reads X_{t-1}, and the mean of d_x noises has variance sigma_x^2 / d_x.
+        cfg, data, t, oracle = self._setup(kind, 1, d_x=d_x)
         st_ = State.from_dataset(data, t)
         quad = oracle.tail_weight(t, st_)
-        mc = oracle._tail_weight_mc(t, st_)
+        mc, se = tail_weight_mc(oracle, t, st_, m=40000)
         assert ((quad > 0) & (quad < 1)).all()
-        np.testing.assert_allclose(quad, mc, atol=0.01)
+        assert (np.abs(quad - mc) < 4.0 * se + 1e-4).all(), (quad, mc, se)
 
     def test_tail_weight_terminal_step_is_one(self):
         cfg, data, t, oracle = self._setup("gamma", 1)
         st_ = State.from_dataset(data, t + 1)
         np.testing.assert_allclose(oracle.tail_weight(t + 1, st_), 1.0)
 
+    def test_tail_weight_two_remaining_steps_rejected(self):
+        cfg, data, t, oracle = self._setup("gamma", 2)
+        with pytest.raises(ParameterError, match="at most one remaining step"):
+            oracle.tail_weight(t, State.from_dataset(data, t))
+
     def test_omega_bounded(self):
-        cfg, data, t, oracle = self._setup("mu", 1, m=2000)
+        cfg, data, t, oracle = self._setup("mu", 1)
         om = OracleBackedNuisances(oracle).evaluate(data).omega_t
         assert ((om >= 0) & (om <= 1)).all()
 

@@ -4,7 +4,7 @@ import pytest
 from wolearn import dgp
 from wolearn.backbone import Hyperparameters
 from wolearn.core import Dataset, ParameterError, always_treat, never_treat
-from wolearn.dgp import DgpConfig, oracle_nuisances, simulate
+from wolearn.dgp import DgpConfig, OracleNuisanceSet, simulate
 from wolearn.learners import (
     LEARNERS,
     CateModel,
@@ -29,8 +29,8 @@ def _small_cell(n=400, seed=0, oracle=False, window=1, **config_over):
     nuisances = None
     if oracle:
         nuisances = (
-            OracleBackedNuisances(oracle_nuisances(cfg, pa, m=2000)),
-            OracleBackedNuisances(oracle_nuisances(cfg, pb, m=2000)),
+            OracleBackedNuisances(OracleNuisanceSet(cfg, pa)),
+            OracleBackedNuisances(OracleNuisanceSet(cfg, pb)),
         )
     cell = prepare_cell(data, pa, pb, hp=FAST, seed=seed, window=window,
                         nuisances=nuisances)
@@ -88,7 +88,7 @@ class TestPrepareCell:
         t = cfg.eval_anchor
         pa, pb = always_treat(t, cfg.tau), never_treat(t, cfg.tau)
         if oracle:
-            arms = [OracleBackedNuisances(oracle_nuisances(cfg, p, m=500)) for p in (pa, pb)]
+            arms = [OracleBackedNuisances(OracleNuisanceSet(cfg, p)) for p in (pa, pb)]
             cell = prepare_cell(data, pa, pb, floor=floor, nuisances=arms)
         else:
             cell = prepare_cell(data, pa, pb, hp=FAST, seed=3, window=1, floor=floor)

@@ -3,7 +3,7 @@ import pytest
 
 from wolearn.backbone import Hyperparameters
 from wolearn.core import ParameterError, always_treat, never_treat
-from wolearn.dgp import (DgpConfig, State, conditional_rollout, oracle_nuisances, propensity_logit,
+from wolearn.dgp import (DgpConfig, OracleNuisanceSet, State, conditional_rollout, propensity_logit,
                          sigmoid, simulate)
 from wolearn.nuisance import (
     MIN_FIT_UNITS,
@@ -37,7 +37,7 @@ class TestChildSeed:
 class TestOracleBacked:
     def test_matches_closed_forms(self):
         cfg, data, t, plan = _setup(n=40)
-        ev = OracleBackedNuisances(oracle_nuisances(cfg, plan, m=2000)).evaluate(data)
+        ev = OracleBackedNuisances(OracleNuisanceSet(cfg, plan)).evaluate(data)
         st_ = State.from_dataset(data, t)
         p1 = sigmoid(propensity_logit(cfg, st_.x, st_.y_prev, st_.a_prev))
         np.testing.assert_allclose(ev.pi[:, 0], p1)
@@ -49,7 +49,7 @@ class TestOracleBacked:
         cfg, data, t, plan = _setup("gamma", n=40)
         cfg = DgpConfig.make("gamma", gamma=8.0, n_train=40)
         data = simulate(cfg, seed=1)
-        nu = OracleBackedNuisances(oracle_nuisances(cfg, always_treat(t, 1), m=500))
+        nu = OracleBackedNuisances(OracleNuisanceSet(cfg, always_treat(t, 1)))
         raw = nu.evaluate(data, floor=0.0)
         floored = nu.evaluate(data, floor=0.05)
         assert raw.pi.min() < 0.05
@@ -65,7 +65,7 @@ class TestOracleBacked:
         cfg = DgpConfig.make("gamma", gamma=1e4, n_train=40)
         data = simulate(cfg, seed=1)
         t = cfg.eval_anchor
-        oracle = oracle_nuisances(cfg, never_treat(t, 1), m=500)
+        oracle = OracleNuisanceSet(cfg, never_treat(t, 1))
         st_ = State.from_dataset(data, t)
         assert (oracle.propensity(t, st_) == 0.0).any()
         ev = OracleBackedNuisances(oracle).evaluate(data, floor=0.0)
@@ -92,7 +92,7 @@ class TestOracleBacked:
         cfg = DgpConfig.make("gamma", gamma=2.0)
         t, m = cfg.eval_anchor, 300
         comp = conditional_rollout(cfg, simulate(cfg, seed=0, n=1), t, m, seed=0)
-        oracle = oracle_nuisances(cfg, always_treat(t, 1))
+        oracle = OracleNuisanceSet(cfg, always_treat(t, 1))
         expect = []  # the oracle called row by row
         for j in (t, t + 1):
             st_ = State.from_dataset(comp, j)
@@ -107,7 +107,7 @@ class TestOracleBacked:
 
     def test_distinct_states_evaluated_row_by_row(self, monkeypatch):
         cfg, data, t, plan = _setup(n=40)
-        _, rows = self._recording_evaluate(monkeypatch, oracle_nuisances(cfg, plan), data)
+        _, rows = self._recording_evaluate(monkeypatch, OracleNuisanceSet(cfg, plan), data)
         assert rows == {"propensity": [40, 40], "tail_weight": [40, 40]}
 
 
@@ -131,7 +131,7 @@ class TestFittedNuisances:
 
         feats = feature_matrix(data, t, window=1)
         st_ = State.from_dataset(data, t)
-        truth = oracle_nuisances(cfg, plan).response_exact(t, st_)
+        truth = OracleNuisanceSet(cfg, plan).response_exact(t, st_)
         assert np.sqrt(np.mean((models[t].predict(feats) - truth) ** 2)) < 0.1
 
     def test_weight_fit_tracks_truth(self):
@@ -143,7 +143,7 @@ class TestFittedNuisances:
 
         feats = feature_matrix(data, t, window=1)
         st_ = State.from_dataset(data, t)
-        truth = oracle_nuisances(cfg, plan, m=4000).tail_weight(t, st_)
+        truth = OracleNuisanceSet(cfg, plan).tail_weight(t, st_)
         assert np.sqrt(np.mean((wmods[t].predict(feats) - truth) ** 2)) < 0.1
 
     def test_evaluation_shapes_and_floor(self):

@@ -50,6 +50,14 @@ class TestConditionalMeans:
         rep = check_conditional_mean_rho(seed=0, n_histories=8, m=4000)
         assert rep.passed, rep.summary
 
+    @pytest.mark.parametrize("check", [check_conditional_mean_gamma, check_conditional_mean_rho],
+                             ids=["gamma", "rho"])
+    @pytest.mark.parametrize("kind", ["pi", "mu", "n"])
+    def test_identities_hold_for_every_kind(self, kind, check):
+        # the oracle's closed-form tail weight enters omega for every kind
+        rep = check(seed=0, n_histories=20, m=4000, config=dgp.DgpConfig.make(kind, tau=1))
+        assert rep.passed, rep.summary
+
     def test_detects_broken_target(self, monkeypatch):
         # sanity: an impossible tolerance must fail the check
         monkeypatch.setattr(verify, "Z_CONDITIONAL", 1e-4)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ParameterError, check_int, sigmoid
+from .core import ParameterError, check_int, check_real, sigmoid
 
 # Adam's moment decays and denominator guard, the usual defaults
 ADAM_BETA1 = 0.9
@@ -50,9 +50,9 @@ class Hyperparameters:
         if any(h < 1 for h in hidden):
             raise ParameterError(f"hidden widths {hidden} must be at least 1")
         object.__setattr__(self, "hidden", hidden)
-        if self.learning_rate <= 0:
+        if check_real(self.learning_rate, "learning_rate") <= 0:
             raise ParameterError("learning_rate must be positive")
-        if not 0.0 <= self.dropout < 1.0:
+        if not 0.0 <= check_real(self.dropout, "dropout") < 1.0:
             raise ParameterError(f"dropout {self.dropout} outside [0, 1)")
 
 

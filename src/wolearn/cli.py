@@ -78,6 +78,7 @@ class ExperimentSpec:
         if len(set(self.grid)) < len(self.grid):
             raise ParameterError(f"grid {list(self.grid)} repeats a value")
         check_floor(self.floor)
+        PseudoConfig(clamp_rho=self.clamp_rho)  # rejects a non-bool clamp_rho
         unknown = set(self.learners) - set(LEARNERS + ("ipw_nofloor",))
         if unknown:
             raise ParameterError(f"unknown learner(s) {sorted(unknown)}")

@@ -10,6 +10,8 @@ sentinels.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +36,14 @@ def check_int(value, name: str) -> int:
     if not integral or isinstance(value, bool):
         raise ParameterError(f"{name}: {value!r} is not an integer")
     return out
+
+
+def check_real(value, name: str):
+    """`value` unchanged when it is a finite real number (not a bool);
+    otherwise ParameterError naming `name`."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise ParameterError(f"{name}: {value!r} is not a finite number")
+    return value
 
 
 @dataclass(frozen=True)
@@ -157,13 +167,13 @@ def check_window(window, T: int) -> int:
 
 def check_lambda(lam: float) -> None:
     """The stage-2 split fraction must lie in (0, 1)."""
-    if not 0.0 < lam < 1.0:
+    if not 0.0 < check_real(lam, "lambda") < 1.0:
         raise ParameterError("lambda must be in (0, 1)")
 
 
 def check_floor(floor: float) -> None:
     """A propensity floor must lie in [0, 1): at 1 or more every pi is 1."""
-    if not 0.0 <= floor < 1.0:
+    if not 0.0 <= check_real(floor, "propensity floor") < 1.0:
         raise ParameterError(f"propensity floor {floor} outside [0, 1)")
 
 

@@ -26,25 +26,20 @@ are independent cross-checks of all of these.
 `conditional_rollout` completes m copies of one unit's history under the
 observational law, as the per-history checks of `verify` need.
 `DgpConfig` rejects an unknown kind, unknown settings, non-integral or
-below-1 sizes, a tau outside [0, T-1], a non-finite gamma and a negative or
-non-finite noise scale; the seed is an argument of every draw, never a
-setting.
+below-1 sizes, a tau outside [0, T-1] and a gamma that is not a finite
+number; the seed is an argument of every draw, never a setting. The noise
+scales sigma_x and sigma_y are constants of every kind, not settings.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
-from .core import Dataset, InterventionPlan, ParameterError, check_int, sigmoid
-
-SIGMA_Y_DEFAULT = 0.3
-# AR(1) X_t = 0.5 X_{t-1} + eps has stationary variance 1 when
-# var(eps) = 0.75, matching X_0 ~ N(0,1).
-SIGMA_X_DEFAULT = math.sqrt(0.75)
+from .core import Dataset, InterventionPlan, ParameterError, check_int, check_real, sigmoid
 
 _KIND_DEFAULTS = {
     "gamma": dict(T=5, d_x=1, n_train=4000, tau=1),
@@ -74,19 +69,17 @@ class DgpConfig:
     tau: int
     n_test: int = 1000
     gamma: float = 1.0
-    sigma_y: float = SIGMA_Y_DEFAULT
-    sigma_x: float = SIGMA_X_DEFAULT
+    # The noise scales are constants of every kind. AR(1) X_t = 0.5 X_{t-1}
+    # + eps has stationary variance 1 when var(eps) = 0.75, matching
+    # X_0 ~ N(0,1).
+    sigma_y: ClassVar[float] = 0.3
+    sigma_x: ClassVar[float] = math.sqrt(0.75)
 
     def __post_init__(self):
         _kind_defaults(self.kind)
         for name in ("T", "d_x", "n_train", "n_test", "tau"):
             object.__setattr__(self, name, check_int(getattr(self, name), name))
-        for name in ("gamma", "sigma_x", "sigma_y"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-                raise ConfigError(f"{name}={value!r} must be a finite number")
-        if min(self.sigma_x, self.sigma_y) < 0:
-            raise ConfigError("the noise scales sigma_x and sigma_y must be non-negative")
+        check_real(self.gamma, "gamma")
         if min(self.T, self.d_x, self.n_train, self.n_test) < 1:
             raise ConfigError("T, d_x, n_train and n_test must be at least 1")
         if not 0 <= self.tau <= self.T - 1:
@@ -219,8 +212,9 @@ def _unit_state(data: Dataset, anchor: int, m: int) -> State:
     """The state at `anchor` of the one unit in `data`, repeated m times."""
     if data.n != 1:
         raise ParameterError("pass one unit, e.g. data.subset([i])")
+    m = check_int(m, "m")
     if m < 1:
-        raise ParameterError("m must be >= 1")
+        raise ParameterError(f"m={m} must be at least 1")
     return State.from_dataset(data, anchor).tile(m)
 
 
@@ -233,7 +227,7 @@ def conditional_rollout(config: DgpConfig, data: Dataset, anchor: int, m: int,
     state = _unit_state(data, anchor, m)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA0)))
     out = rollout(config, state, data.T - anchor, rng=rng)
-    x, a, y = (np.repeat(v, m, axis=0) for v in (data.x, data.a, data.y))
+    x, a, y = (np.repeat(v, len(state.y_prev), axis=0) for v in (data.x, data.a, data.y))
     x[:, anchor:], a[:, anchor:], y[:, anchor:] = out["x"], out["a"], out["y"]
     return Dataset(x, a, y)
 
@@ -322,14 +316,13 @@ class OracleNuisanceSet:
     `InterventionPlan.propensity` turns P(A_j = 1 | H_j) into the plan
     propensity. The tail weight is 1 at the plan's last step and a 1-d
     Gauss-Hermite integral one step before it, for every kind; plans with
-    a longer tail (tau >= 2) raise ParameterError.
+    a longer tail (tau >= 2) raise ParameterError. The times j run over the
+    plan's span, which is read from `plan` (`start`, `end`, `horizon`).
     """
 
     def __init__(self, config: DgpConfig, plan: InterventionPlan):
         self.config = config
         self.plan = plan
-        self.t = plan.start
-        self.tau = plan.horizon
 
     def propensity(self, j: int, state: State):
         """pi_j^plan: probability of the plan's treatment at time j."""
@@ -339,17 +332,17 @@ class OracleNuisanceSet:
     def response_exact(self, j: int, state: State):
         """Closed-form mu_j^plan."""
         return expected_outcome(self.config, state.x, state.x_prev, self.plan.values[-1],
-                                self.t + self.tau - j)
+                                self.plan.end - j)
 
     def tail_weight(self, j: int, state: State):
         """E[prod_{k=j+1}^{t+tau} pi_k^plan | H_j] evaluated at states."""
-        delta = self.t + self.tau - j
+        delta = self.plan.end - j
         if delta == 0:
             return np.ones(len(state.y_prev))
         if delta == 1:
             return self._tail_weight_quadrature(j, state)
         raise ParameterError(f"the oracle tail weight needs at most one remaining step; "
-                             f"time {j} of a plan ending at {self.t + self.tau} has {delta}")
+                             f"time {j} of a plan ending at {self.plan.end} has {delta}")
 
     def _tail_weight_quadrature(self, j: int, state: State):
         # One remaining step: integrate pi_{j+1} over (A_j, eps_y, eps_x).

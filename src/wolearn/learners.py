@@ -13,9 +13,8 @@ pseudo-outcome on history features:
   ha   a single history-adjusted outcome regression on features(H_t) and
        the realized future treatments, differenced at the two plans.
 
-A `Cell` bundles the split, the fitted (or oracle) nuisances, and their
-held-out evaluations so that several learners reuse one set of nuisance
-fits.
+A `Cell` bundles the split and the held-out evaluations of the nuisances
+fitted on it, so that several learners reuse one set of nuisance fits.
 """
 
 from __future__ import annotations
@@ -69,27 +68,22 @@ class Cell:
 
 
 def prepare_cell(data, plan_a, plan_b, lam=0.5, hp=backbone.Hyperparameters(), seed=0,
-                 window="full", floor=PROPENSITY_FLOOR, nuisances=None) -> Cell:
+                 window="full", floor=PROPENSITY_FLOOR) -> Cell:
     """Split the data, fit both plans' nuisances on the nuisance split with
     one `fit_nuisances` call (the plans share its propensity classifiers),
     and evaluate them once per arm on the stage-2 split; the floored
     evaluations are copies of the unfloored ones with pi clipped.
 
-    Pass `nuisances = (eval_a, eval_b)` objects with an `.evaluate(data,
-    floor)` method (e.g. oracle-backed) to skip fitting; the full dataset
-    then serves as the stage-2 split. When fitting, a plan step that fewer
-    than MIN_FIT_UNITS nuisance-split units take raises ParameterError
-    before any network trains: the effect is not identified there.
+    A plan step that fewer than MIN_FIT_UNITS nuisance-split units take
+    raises ParameterError before any network trains: the effect is not
+    identified there.
     """
     if plan_a.start != plan_b.start or plan_a.horizon != plan_b.horizon:
         raise ParameterError("plans must share anchor and horizon")
-    if nuisances is not None:
-        (na, nb), nuis_split, stage2 = nuisances, data.subset(np.arange(0)), data
-    else:
-        nuis_split, stage2 = split_dataset(data, lam, seed)
-        if set(nuis_split.ids.tolist()) & set(stage2.ids.tolist()):
-            raise ParameterError("nuisance and stage-2 splits must be disjoint")
-        na, nb = fit_nuisances(nuis_split, (plan_a, plan_b), hp=hp, window=window, seed=seed)
+    nuis_split, stage2 = split_dataset(data, lam, seed)
+    if set(nuis_split.ids.tolist()) & set(stage2.ids.tolist()):
+        raise ParameterError("nuisance and stage-2 splits must be disjoint")
+    na, nb = fit_nuisances(nuis_split, (plan_a, plan_b), hp=hp, window=window, seed=seed)
     raw_a, raw_b = na.evaluate(stage2, floor=0.0), nb.evaluate(stage2, floor=0.0)
     return Cell(data, plan_a, plan_b, nuis_split, stage2,
                 raw_a.floored(floor), raw_b.floored(floor), raw_a, raw_b, window)

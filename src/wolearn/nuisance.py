@@ -47,7 +47,8 @@ def _child_seed(seed, tag, j) -> int:
 @dataclass
 class NuisanceEvaluation:
     """Nuisance values on one dataset for one plan. Arrays are indexed
-    [unit, step] with step k corresponding to time t + k.
+    [unit, step] with step k corresponding to time t + k; the plan itself
+    belongs to the nuisance source that evaluated them.
 
     pi: plan propensities, floored unless evaluated at floor 0;
     ind: 1{A_{t+k} = a_{t+k}};
@@ -56,7 +57,6 @@ class NuisanceEvaluation:
     omega_t: overlap weights pi_t * W_{t+1} at the anchor.
     """
 
-    plan: InterventionPlan
     pi: np.ndarray
     ind: np.ndarray
     mu: np.ndarray
@@ -86,7 +86,7 @@ class NuisanceEvaluation:
         for k in range(steps):
             pi[:, k], mu[:, k], w_next[:, k] = step(plan.start + k)
         ind = (data.a[:, plan.start : plan.end + 1] == np.array(plan.values)).astype(float)
-        return cls(plan, pi, ind, mu, w_next)
+        return cls(pi, ind, mu, w_next)
 
 
 class FittedNuisances:

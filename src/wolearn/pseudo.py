@@ -35,6 +35,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .core import ParameterError
 from .nuisance import NuisanceEvaluation
 
 
@@ -46,6 +47,11 @@ class PseudoConfig:
     # non-convex (directions of negative curvature), which a flexible
     # second stage will exploit.
     clamp_rho: bool = False
+
+    def __post_init__(self):
+        # a truthy string such as "false" would otherwise clamp
+        if not isinstance(self.clamp_rho, bool):
+            raise ParameterError(f"clamp_rho: {self.clamp_rho!r} is not a bool")
 
 
 @dataclass

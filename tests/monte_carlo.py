@@ -55,8 +55,8 @@ def _rollout(oracle: dgp.OracleNuisanceSet, state: dgp.State, steps: int, m: int
 def response_mc(oracle: dgp.OracleNuisanceSet, j: int, state: dgp.State, m: int, seed=0):
     """mu_j^plan by single-pass forced rollout of m copies of each state;
     returns (mean, se)."""
-    steps = oracle.t + oracle.tau - j + 1
-    forced = list(oracle.plan.values[j - oracle.t :])
+    steps = oracle.plan.end - j + 1
+    forced = list(oracle.plan.values[j - oracle.plan.start :])
     out = _rollout(oracle, state, steps, m, (seed, 0xE5, 0), forced=forced)
     return _per_state(out["y"][:, -1], m)
 
@@ -64,19 +64,19 @@ def response_mc(oracle: dgp.OracleNuisanceSet, j: int, state: dgp.State, m: int,
 def response_nested_mc(oracle: dgp.OracleNuisanceSet, state: dgp.State, m: int, seed=0):
     """mu_t^plan by the two-stage route: one forced step, then the exact
     next-stage response; cross-check for response_mc (tau = 1 only)."""
-    if oracle.tau != 1:
+    if oracle.plan.horizon != 1:
         raise NotImplementedError("nested oracle implemented for tau = 1")
     one = _rollout(oracle, state, 2, m, (seed, 0xE6, 1), forced=[oracle.plan.values[0], None])
     nxt = dgp.State(x=one["x"][:, 1], x_prev=one["x"][:, 0], y_prev=one["y"][:, 0],
                     a_prev=one["a"][:, 0])
-    return _per_state(oracle.response_exact(oracle.t + 1, nxt), m)
+    return _per_state(oracle.response_exact(oracle.plan.start + 1, nxt), m)
 
 
 def tail_weight_mc(oracle: dgp.OracleNuisanceSet, j: int, state: dgp.State, m: int, seed=0):
     """E[prod_{k=j+1}^{t+tau} pi_k^plan | H_j] by observational rollout of m
     copies of each state, for any number of remaining steps; returns
     (mean, se)."""
-    steps = oracle.t + oracle.tau - j + 1
+    steps = oracle.plan.end - j + 1
     out = _rollout(oracle, state, steps, m, (seed, 0xE7, 2))
     prod = np.ones(len(out["p1"]))
     for s in range(1, steps):

@@ -257,6 +257,17 @@ class TestHyperparameters:
         with pytest.raises(ParameterError, match=match):
             Hyperparameters(**bad)
 
+    @pytest.mark.parametrize("bad, match", [
+        (dict(learning_rate=float("nan")), "learning_rate"),  # used to predict NaN
+        (dict(learning_rate=float("inf")), "learning_rate"),
+        (dict(learning_rate="0.1"), "learning_rate"),
+        (dict(learning_rate=True), "learning_rate"),
+        (dict(dropout="0.1"), "dropout"),
+    ])
+    def test_real_fields_checked_when_built(self, bad, match):
+        with pytest.raises(ParameterError, match=match):
+            Hyperparameters(**bad)
+
     def test_integral_floats_become_ints(self):
         hp = Hyperparameters(hidden=(4.0,), epochs=2.0, batch_size=8.0, seed=0.0)
         assert (hp.hidden, hp.epochs, hp.batch_size, hp.seed) == ((4,), 2, 8, 0)

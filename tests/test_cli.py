@@ -88,6 +88,8 @@ class TestExperimentSpec:
         ({"grid": [2.0, 3.0]}, "without a sweep axis"),  # would rerun one cell per value
         ({"dgp": {"T": 2.5}}, "T"),
         ({"window": True}, "window"),  # a JSON true is not the step count 1
+        ({"floor": "0.05"}, "floor"),  # used to raise a bare TypeError
+        ({"clamp_rho": 1}, "clamp_rho"),  # used to clamp, as any truthy value did
     ])
     def test_faults_fail_when_built(self, fault, match):
         with pytest.raises(ParameterError, match=match):
@@ -100,6 +102,15 @@ class TestExperimentSpec:
         spec_file.write_text(json.dumps({**TINY, key: 0.5}))
         with pytest.raises(ParameterError, match=f"unknown spec field.*{key}"):
             _load_spec(spec_file)
+
+    def test_spec_file_clamp_rho_must_be_bool(self, tmp_path):
+        # the string "false" is truthy, so it used to clamp
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({**TINY, "clamp_rho": "false"}))
+        with pytest.raises(ParameterError, match="clamp_rho"):
+            _load_spec(spec_file)
+        spec_file.write_text(json.dumps({**TINY, "clamp_rho": False}))
+        assert _load_spec(spec_file).pseudo_config.clamp_rho is False
 
     def test_window_normalized(self):
         as_str = ExperimentSpec(**{**TINY, "window": "1"})

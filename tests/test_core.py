@@ -174,6 +174,10 @@ class TestSplit:
         for lam in (0.0, 1.0, -0.2):
             with pytest.raises(ParameterError):
                 split_dataset(data, lam, seed=0)
+        # "0.5" and None used to raise a bare TypeError
+        for lam in ("0.5", None):
+            with pytest.raises(ParameterError, match="lambda"):
+                split_dataset(data, lam, seed=0)
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(1, 60), lam=st.floats(0.01, 0.99), seed=st.integers(0, 10))

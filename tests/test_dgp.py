@@ -55,9 +55,12 @@ class TestConfig:
         assert DgpConfig.make("gamma", tau=0).eval_anchor == 4
 
     def test_unknown_override_rejected(self):
-        for key in ("seed", "gama"):
-            with pytest.raises(ConfigError, match="unknown generator setting"):
-                DgpConfig.make("gamma", **{key: 3})
+        # the noise scales are constants of every kind, not settings
+        for override in ({"seed": 3}, {"gama": 3}, {"sigma_y": -0.3}, {"sigma_x": -0.1},
+                         {"sigma_y": math.inf}, {"sigma_x": math.nan}):
+            (key,) = override
+            with pytest.raises(ConfigError, match=f"unknown generator setting.*{key}"):
+                DgpConfig.make("gamma", **override)
 
     def test_horizon_outside_panel_rejected(self):
         # gamma has T = 5: tau = 5 would put the anchor at -1
@@ -74,12 +77,12 @@ class TestConfig:
 
     @pytest.mark.parametrize("fault", [
         {"T": 2.5}, {"d_x": 1.5}, {"n_train": 100.5}, {"n_test": 2.5}, {"tau": 1.5},
-        {"sigma_y": -0.3}, {"sigma_x": -0.1}, {"sigma_y": math.inf}, {"sigma_x": math.nan},
         {"gamma": math.inf}, {"gamma": math.nan},
+        {"gamma": True}, {"gamma": "6.5"}, {"gamma": None}, {"gamma": -math.inf},
     ])
     def test_bad_setting_fails_by_name_when_built(self, fault):
-        # unchecked, each builds and then fails inside simulate, or runs
-        # with a fractional anchor
+        # unchecked, each builds and then fails inside simulate, runs with a
+        # fractional anchor, or (gamma=True) runs as gamma 1
         (name,) = fault
         with pytest.raises(ParameterError, match=name):
             DgpConfig.make("gamma", **fault)
@@ -163,6 +166,16 @@ class TestSimulate:
             conditional_rollout(cfg, data.subset([0, 1]), 2, m=5, seed=0)
         with pytest.raises(IndexError):
             conditional_rollout(cfg, unit, cfg.T, m=5, seed=0)
+
+    def test_conditional_rollout_copy_count_checked(self):
+        # a fractional m used to complete int(m) copies without a word
+        cfg = DgpConfig.make("gamma", n_train=5)
+        unit = simulate(cfg, seed=2).subset([2])
+        for m, match in ((2.9, "m: 2.9 is not an integer"), (True, "m: True"),
+                         (0, "m=0 must be at least 1")):
+            with pytest.raises(ParameterError, match=match):
+                conditional_rollout(cfg, unit, 2, m=m, seed=0)
+        assert conditional_rollout(cfg, unit, 2, m=2.0, seed=0).n == 2
 
     def test_presample_lags_are_zero_sentinels(self):
         # At anchor 0 the lags X_{-1}, Y_{-1}, A_{-1} are zero, and a

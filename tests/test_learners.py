@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from wolearn import dgp
+from wolearn import dgp, verify
 from wolearn.backbone import Hyperparameters
 from wolearn.core import Dataset, ParameterError, always_treat, never_treat
-from wolearn.dgp import DgpConfig, OracleNuisanceSet, simulate
+from wolearn.dgp import DgpConfig, simulate
 from wolearn.learners import (
     LEARNERS,
     CateModel,
@@ -15,25 +15,18 @@ from wolearn.learners import (
     train_learner,
     train_wo,
 )
-from wolearn.nuisance import OracleBackedNuisances, fit_nuisances
+from wolearn.nuisance import fit_nuisances
 from wolearn.pseudo import PseudoConfig, cate_pseudo, risk_linear_term
 
 FAST = Hyperparameters(hidden=(8,), epochs=40)
 
 
-def _small_cell(n=400, seed=0, oracle=False, window=1, **config_over):
+def _small_cell(n=400, seed=0, window=1, **config_over):
     cfg = DgpConfig.make("gamma", n_train=n, **config_over)
     data = simulate(cfg, seed=seed)
     t = cfg.eval_anchor
     pa, pb = always_treat(t, cfg.tau), never_treat(t, cfg.tau)
-    nuisances = None
-    if oracle:
-        nuisances = (
-            OracleBackedNuisances(OracleNuisanceSet(cfg, pa)),
-            OracleBackedNuisances(OracleNuisanceSet(cfg, pb)),
-        )
-    cell = prepare_cell(data, pa, pb, hp=FAST, seed=seed, window=window,
-                        nuisances=nuisances)
+    cell = prepare_cell(data, pa, pb, hp=FAST, seed=seed, window=window)
     return cfg, data, cell
 
 
@@ -43,10 +36,6 @@ class TestPrepareCell:
         assert not set(cell.nuis_split.ids.tolist()) & set(cell.stage2.ids.tolist())
         assert cell.nuis_split.n + cell.stage2.n == data.n
         assert cell.stage2.n == data.n // 2  # lambda = 0.5 single split
-
-    def test_oracle_nuisances_use_full_data(self):
-        _, data, cell = _small_cell(n=60, oracle=True)
-        assert cell.stage2.n == data.n and cell.nuis_split.n == 0
 
     def test_mismatched_plans_rejected(self):
         cfg = DgpConfig.make("gamma", n_train=20)
@@ -77,8 +66,7 @@ class TestPrepareCell:
         with pytest.raises(ParameterError, match="disjoint"):
             prepare_cell(data, always_treat(t, cfg.tau), never_treat(t, cfg.tau), hp=FAST)
 
-    @pytest.mark.parametrize("oracle", [False, True], ids=["fitted", "oracle"])
-    def test_evaluations_equal_separate_calls(self, oracle):
+    def test_evaluations_equal_separate_calls(self):
         # prepare_cell evaluates each arm once and floors a copy; that must
         # give the bits of evaluating at the floor and at 0.0 separately.
         # The floor is high so that it clips on both paths.
@@ -87,12 +75,8 @@ class TestPrepareCell:
         data = simulate(cfg, seed=3)
         t = cfg.eval_anchor
         pa, pb = always_treat(t, cfg.tau), never_treat(t, cfg.tau)
-        if oracle:
-            arms = [OracleBackedNuisances(OracleNuisanceSet(cfg, p)) for p in (pa, pb)]
-            cell = prepare_cell(data, pa, pb, floor=floor, nuisances=arms)
-        else:
-            cell = prepare_cell(data, pa, pb, hp=FAST, seed=3, window=1, floor=floor)
-            arms = fit_nuisances(cell.nuis_split, (pa, pb), hp=FAST, window=1, seed=3)
+        cell = prepare_cell(data, pa, pb, hp=FAST, seed=3, window=1, floor=floor)
+        arms = fit_nuisances(cell.nuis_split, (pa, pb), hp=FAST, window=1, seed=3)
         assert min(cell.ev_a_raw.pi.min(), cell.ev_b_raw.pi.min()) < floor
         for arm, ev, raw in zip(arms, (cell.ev_a, cell.ev_b), (cell.ev_a_raw, cell.ev_b_raw)):
             for got, at in ((ev, floor), (raw, 0.0)):
@@ -152,18 +136,20 @@ class TestRiskProperties:
     def test_truth_beats_constants_in_empirical_risk(self):
         # With oracle nuisances the expanded empirical risk is minimized
         # near the true effect function among simple alternatives.
-        cfg, data, cell = _small_cell(n=20000, oracle=True)
-        po = cate_pseudo(cell.ev_a, cell.ev_b, cell.y_final)
+        cfg = DgpConfig.make("gamma")
+        data, ev_a, ev_b, y_final = verify._oracle_panel(cfg, 0, 20000)
+        po = cate_pseudo(ev_a, ev_b, y_final)
         q = risk_linear_term(po)
-        truth = dgp.test_set_truth(
-            cfg, cell.stage2, cell.anchor, cell.plan_a, cell.plan_b)
+        t = cfg.eval_anchor
+        truth = dgp.test_set_truth(cfg, data, t, always_treat(t, cfg.tau),
+                                   never_treat(t, cfg.tau))
 
         def risk(g):
             return float(np.sum(po.rho * g * g - 2.0 * q * g) / np.sum(po.rho))
 
         r_truth = risk(truth)
         for c in (-0.5, 0.0, 0.2, 0.5, 1.0):
-            assert r_truth <= risk(np.full(cell.stage2.n, c)) + 1e-3
+            assert r_truth <= risk(np.full(data.n, c)) + 1e-3
 
     def test_evaluate_rmse(self):
         class Flat:

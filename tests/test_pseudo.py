@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from wolearn.core import always_treat, never_treat
 from wolearn.nuisance import NuisanceEvaluation
 from wolearn.pseudo import (
     cate_pseudo,
@@ -14,15 +13,14 @@ from wolearn.pseudo import (
 )
 
 
-def _random_eval(n=50, steps=2, seed=0, plan=None, pi_low=0.1):
+def _random_eval(n=50, steps=2, seed=0, pi_low=0.1):
     rng = np.random.default_rng(seed)
-    plan = plan or always_treat(0, steps - 1)
     pi = rng.uniform(pi_low, 0.9, size=(n, steps))
     ind = (rng.uniform(size=(n, steps)) < pi).astype(float)
     mu = rng.normal(size=(n, steps))
     w_next = rng.uniform(0.1, 1.0, size=(n, steps))
     w_next[:, -1] = 1.0
-    return NuisanceEvaluation(plan, pi, ind, mu, w_next)
+    return NuisanceEvaluation(pi, ind, mu, w_next)
 
 
 def _reference_gamma(ev, y):
@@ -84,7 +82,7 @@ class TestPlanPseudoOutcomes:
 
     def test_ipw_transform(self):
         ev_a = _random_eval(n=15, steps=2, seed=7)
-        ev_b = _random_eval(n=15, steps=2, seed=8, plan=never_treat(0, 1))
+        ev_b = _random_eval(n=15, steps=2, seed=8)
         y = np.random.default_rng(9).normal(size=15)
         expect = (np.prod(ev_a.ind / ev_a.pi, axis=1)
                   - np.prod(ev_b.ind / ev_b.pi, axis=1)) * y
@@ -94,7 +92,7 @@ class TestPlanPseudoOutcomes:
 class TestContrastPseudoOutcomes:
     def test_cate_composition_rules(self):
         ev_a = _random_eval(n=40, steps=3, seed=10)
-        ev_b = _random_eval(n=40, steps=3, seed=11, plan=never_treat(0, 2))
+        ev_b = _random_eval(n=40, steps=3, seed=11)
         y = np.random.default_rng(12).normal(size=40)
         po = cate_pseudo(ev_a, ev_b, y)
         rho_a, rho_b = rho_plan(ev_a), rho_plan(ev_b)
@@ -106,7 +104,7 @@ class TestContrastPseudoOutcomes:
 
     def test_risk_linear_term_is_product_form(self):
         ev_a = _random_eval(n=40, steps=2, seed=13)
-        ev_b = _random_eval(n=40, steps=2, seed=14, plan=never_treat(0, 1))
+        ev_b = _random_eval(n=40, steps=2, seed=14)
         y = np.random.default_rng(15).normal(size=40)
         po = cate_pseudo(ev_a, ev_b, y)
         np.testing.assert_allclose(risk_linear_term(po),
@@ -117,7 +115,7 @@ class TestContrastPseudoOutcomes:
         # rho^{ab} = (A - pi_a)^2 and q = (Y - m)(A - pi_a) with
         # m = pi_a mu_a + (1 - pi_a) mu_b, the R-learner's coefficients
         ev_a = _random_eval(n=40, steps=1, seed=18)
-        ev_b = NuisanceEvaluation(never_treat(0, 0), 1.0 - ev_a.pi, 1.0 - ev_a.ind,
+        ev_b = NuisanceEvaluation(1.0 - ev_a.pi, 1.0 - ev_a.ind,
                                   _random_eval(n=40, steps=1, seed=19).mu, ev_a.w_next)
         y = np.random.default_rng(20).normal(size=40)
         po = cate_pseudo(ev_a, ev_b, y)
@@ -131,7 +129,7 @@ class TestContrastPseudoOutcomes:
         import csv
 
         ev_a = _random_eval(n=6, steps=2, seed=21)
-        ev_b = _random_eval(n=6, steps=2, seed=27, plan=never_treat(0, 1))
+        ev_b = _random_eval(n=6, steps=2, seed=27)
         po = cate_pseudo(ev_a, ev_b, np.random.default_rng(22).normal(size=6))
         path = tmp_path / "po.csv"
         po.to_csv(path, ids=np.arange(10, 16))
@@ -162,7 +160,7 @@ class TestConditionalUnbiasednessSmallMc:
         # W_1(H_0) = E[pi_1 | H_0] over the observational step-0 arm
         w_true = p0 * p1_given[1] + (1.0 - p0) * p1_given[0]
         w_next = np.column_stack([np.full(m, w_true), np.ones(m)])
-        ev = NuisanceEvaluation(always_treat(0, 1), pi, ind, np.zeros((m, 2)), w_next)
+        ev = NuisanceEvaluation(pi, ind, np.zeros((m, 2)), w_next)
         rho = rho_plan(ev)
         omega_true = p0 * w_true
         se = rho.std(ddof=1) / np.sqrt(m)
@@ -175,8 +173,7 @@ class TestConditionalUnbiasednessSmallMc:
         a = (rng.uniform(size=m) < p).astype(float)
         y = 2.0 * a + rng.normal(size=m)  # E[Y | A=1] = 2
         ev = NuisanceEvaluation(
-            always_treat(0, 0), np.full((m, 1), p), a[:, None], np.full((m, 1), 2.0),
-            np.ones((m, 1)))
+            np.full((m, 1), p), a[:, None], np.full((m, 1), 2.0), np.ones((m, 1)))
         g = gamma_plan(ev, y)
         se = g.std(ddof=1) / np.sqrt(m)
         assert abs(g.mean() - 2.0) < 4.0 * se

@@ -18,6 +18,7 @@ trains alone or in a stack.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -31,25 +32,21 @@ ADAM_EPS = 1e-8
 
 @dataclass(frozen=True)
 class Hyperparameters:
-    """Training settings; optimization is Adam with the module's constants."""
+    """Training settings; optimization is Adam with the module's constants.
+    The minibatch size is a constant of the trainer, not a setting."""
 
     hidden: tuple = (20,)
     learning_rate: float = 0.001
     epochs: int = 100
-    batch_size: int = 64
     dropout: float = 0.1
     seed: int = 0
+    batch_size: ClassVar[int] = 64
 
     def __post_init__(self):
-        for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
-            value = check_int(getattr(self, name), name)
-            if value < low:
-                raise ParameterError(f"{name}={value} must be at least {low}")
-            object.__setattr__(self, name, value)
-        hidden = tuple(check_int(h, "hidden width") for h in self.hidden)
-        if any(h < 1 for h in hidden):
-            raise ParameterError(f"hidden widths {hidden} must be at least 1")
-        object.__setattr__(self, "hidden", hidden)
+        object.__setattr__(self, "epochs", check_int(self.epochs, "epochs", 1))
+        object.__setattr__(self, "seed", check_int(self.seed, "seed", 0))
+        object.__setattr__(self, "hidden",
+                           tuple(check_int(h, "hidden width", 1) for h in self.hidden))
         if check_real(self.learning_rate, "learning_rate") <= 0:
             raise ParameterError("learning_rate must be positive")
         if not 0.0 <= check_real(self.dropout, "dropout") < 1.0:

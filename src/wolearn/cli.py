@@ -51,7 +51,7 @@ class ExperimentSpec:
     kind: str = "gamma"
     dgp: dict = field(default_factory=dict)  # overrides for DgpConfig.make
     learners: tuple = LEARNERS
-    axis: str = "none"  # gamma | tau | d_x | n_train | none
+    axis: str = "none"  # a key of AXIS_GRIDS, or "none"
     grid: tuple = ()
     seeds: tuple = (0, 1, 2, 3, 4)
     out_dir: str = "runs"
@@ -62,19 +62,26 @@ class ExperimentSpec:
     def __post_init__(self):
         # an integer axis's grid, the seeds and the window become ints, and
         # every grid value's DgpConfig is built and its T bounds the window,
-        # so a bad spec fails before any cell runs
-        integer_axis = self.axis in ("tau", "d_x", "n_train")
+        # so a bad spec fails before any cell runs; a string is not a list,
+        # so it is never split into characters
+        for name in ("learners", "grid", "seeds"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ParameterError(f"{name} must be a list, not {getattr(self, name)!r}")
+        if not isinstance(self.dgp, dict) or "kind" in self.dgp:
+            raise ParameterError(f"dgp must be an object of generator settings without "
+                                 f"'kind' (the spec's own field), not {self.dgp!r}")
+        integer_axis = self.axis in AXIS_GRIDS and all(isinstance(v, int)
+                                                       for v in AXIS_GRIDS[self.axis])
         object.__setattr__(self, "grid", tuple(check_int(v, "grid") if integer_axis else v
                                                for v in self.grid))
         object.__setattr__(self, "learners", tuple(self.learners))
-        object.__setattr__(self, "seeds", tuple(check_int(s, "seeds") for s in self.seeds))
+        object.__setattr__(self, "seeds", tuple(check_int(s, "seeds", 0) for s in self.seeds))
         if self.window != "full":
             object.__setattr__(self, "window", check_int(self.window, "window"))
         if not self.learners:
             raise ParameterError("learner list must not be empty")
-        if not self.seeds or len(set(self.seeds)) < len(self.seeds) or min(self.seeds) < 0:
-            raise ParameterError(f"seeds {list(self.seeds)} must be distinct, non-negative "
-                                 "and at least one")
+        if not self.seeds or len(set(self.seeds)) < len(self.seeds):
+            raise ParameterError(f"seeds {list(self.seeds)} must be distinct and at least one")
         if len(set(self.grid)) < len(self.grid):
             raise ParameterError(f"grid {list(self.grid)} repeats a value")
         check_floor(self.floor)
@@ -133,11 +140,10 @@ def _load_spec(spec_path, **overrides) -> ExperimentSpec:
 _SPEC_OPTIONS = [
     click.option("--spec", "spec_path", type=click.Path(exists=True), default=None,
                  help="JSON spec file; command-line flags override its fields."),
-    click.option("--kind", default=None, type=click.Choice(["gamma", "pi", "mu", "n"])),
+    click.option("--kind", default=None, type=click.Choice(list(dgp.KIND_DEFAULTS))),
     click.option("--dgp", default=None, help="JSON dict of generator overrides."),
     click.option("--learners", "learners", multiple=True),
-    click.option("--axis", default=None,
-                 type=click.Choice(["gamma", "tau", "d_x", "n_train", "none"])),
+    click.option("--axis", default=None, type=click.Choice([*AXIS_GRIDS, "none"])),
     click.option("--grid", multiple=True, type=float),
     click.option("--seeds", multiple=True, type=int),
     click.option("--out-dir", "out_dir", default=None),
@@ -192,8 +198,7 @@ def run_cells(spec: ExperimentSpec, workers: int):
     """Run every (grid value, seed) cell of `spec` in `workers` spawned
     processes. Returns ({(value, seed): result}, failures); a cell that
     raises is recorded as {"cell": (value, seed), "error": repr}."""
-    if workers < 1:
-        raise ParameterError(f"workers={workers} must be at least 1")
+    workers = check_int(workers, "workers", 1)
     results, failures = {}, []
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:

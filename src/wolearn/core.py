@@ -25,9 +25,10 @@ def sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
 
 
-def check_int(value, name: str) -> int:
+def check_int(value, name: str, low=None) -> int:
     """`value` as an int when it is integral (an int, an integral float, or
-    a string of an int); otherwise ParameterError naming `name`."""
+    a string of an int) and, if `low` is given, at least `low`; otherwise
+    ParameterError naming `name`. Every integer argument is checked here."""
     try:
         out = int(value)  # a str parses only as an integer literal
         integral = isinstance(value, str) or out == value
@@ -35,6 +36,8 @@ def check_int(value, name: str) -> int:
         integral = False
     if not integral or isinstance(value, bool):
         raise ParameterError(f"{name}: {value!r} is not an integer")
+    if low is not None and out < low:
+        raise ParameterError(f"{name}={value} must be at least {low}")
     return out
 
 
@@ -58,10 +61,7 @@ class InterventionPlan:
         vals = tuple(check_int(v, "plan value") for v in self.values)
         if len(vals) < 1 or any(v not in (0, 1) for v in vals):
             raise ParameterError("plan values must be a non-empty binary sequence")
-        start = check_int(self.start, "plan start")
-        if start < 0:
-            raise ParameterError(f"plan start {start} is negative")
-        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "start", check_int(self.start, "plan start", 0))
         object.__setattr__(self, "values", vals)
 
     @property
@@ -124,9 +124,6 @@ class Dataset:
     def d_x(self) -> int:
         return self.x.shape[2]
 
-    def __len__(self) -> int:
-        return self.n
-
     def subset(self, idx) -> "Dataset":
         return Dataset(self.x[idx], self.a[idx], self.y[idx], ids=self.ids[idx], meta=self.meta)
 
@@ -183,7 +180,9 @@ def feature_matrix(data: Dataset, anchor: int, window="full") -> np.ndarray:
     Steps s = anchor-window+1 .. anchor, oldest first; each step contributes
     (X_s, Y_{s-1}, A_{s-1}); steps before time 0 are zero, as is the lag
     slot at s = 0. The final feature is the anchor index itself, so
-    D = window * (d_x + 2) + 1.
+    D = window * (d_x + 2) + 1. Every fit reads one anchor, so that column
+    is constant within a fit and carries no information: the standardizer
+    maps it to 0 and its first-layer weights keep their initial values.
     """
     T, d_x, n = data.T, data.d_x, data.n
     if not 0 <= anchor < T:
@@ -207,9 +206,10 @@ def split_dataset(data: Dataset, lam: float, seed: int):
     """Disjoint split by trajectory: (nuisance split, stage-2 split).
 
     The stage-2 split gets floor(lam * n) units; the permutation is a pure
-    function of the seed.
+    function of the seed, a non-negative integer.
     """
     check_lambda(lam)
+    seed = check_int(seed, "seed", 0)
     n = data.n
     n_stage2 = int(np.floor(lam * n))
     if not 0 < n_stage2 < n:

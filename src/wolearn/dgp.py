@@ -27,8 +27,10 @@ are independent cross-checks of all of these.
 observational law, as the per-history checks of `verify` need.
 `DgpConfig` rejects an unknown kind, unknown settings, non-integral or
 below-1 sizes, a tau outside [0, T-1] and a gamma that is not a finite
-number; the seed is an argument of every draw, never a setting. The noise
-scales sigma_x and sigma_y are constants of every kind, not settings.
+number; the seed is an argument of every draw, never a setting, and must
+be a non-negative integer. The noise scales sigma_x and sigma_y are
+constants of every kind, not settings. Every fault raises ParameterError
+naming the bad argument.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 
 from .core import Dataset, InterventionPlan, ParameterError, check_int, check_real, sigmoid
 
-_KIND_DEFAULTS = {
+KIND_DEFAULTS = {
     "gamma": dict(T=5, d_x=1, n_train=4000, tau=1),
     "pi": dict(T=15, d_x=1, n_train=4000, tau=1),
     "mu": dict(T=15, d_x=5, n_train=4000, tau=1),
@@ -49,15 +51,11 @@ _KIND_DEFAULTS = {
 }
 
 
-class ConfigError(ParameterError):
-    pass
-
-
 def _kind_defaults(kind: str) -> dict:
     """The default sizes of a generator kind; an unknown kind raises."""
-    if kind not in _KIND_DEFAULTS:
-        raise ConfigError(f"unknown DGP kind {kind!r}")
-    return _KIND_DEFAULTS[kind]
+    if kind not in KIND_DEFAULTS:
+        raise ParameterError(f"unknown DGP kind {kind!r}")
+    return KIND_DEFAULTS[kind]
 
 
 @dataclass(frozen=True)
@@ -77,19 +75,18 @@ class DgpConfig:
 
     def __post_init__(self):
         _kind_defaults(self.kind)
-        for name in ("T", "d_x", "n_train", "n_test", "tau"):
-            object.__setattr__(self, name, check_int(getattr(self, name), name))
+        for name in ("T", "d_x", "n_train", "n_test"):
+            object.__setattr__(self, name, check_int(getattr(self, name), name, 1))
+        object.__setattr__(self, "tau", check_int(self.tau, "tau"))
         check_real(self.gamma, "gamma")
-        if min(self.T, self.d_x, self.n_train, self.n_test) < 1:
-            raise ConfigError("T, d_x, n_train and n_test must be at least 1")
         if not 0 <= self.tau <= self.T - 1:
-            raise ConfigError(f"tau={self.tau} outside [0, T-1={self.T - 1}]")
+            raise ParameterError(f"tau={self.tau} outside [0, T-1={self.T - 1}]")
 
     @classmethod
     def make(cls, kind: str, **overrides) -> "DgpConfig":
         unknown = set(overrides) - {f.name for f in fields(cls)}
         if unknown:
-            raise ConfigError(f"unknown generator setting(s) {sorted(unknown)}")
+            raise ParameterError(f"unknown generator setting(s) {sorted(unknown)}")
         return cls(kind=kind, **{**_kind_defaults(kind), **overrides})
 
     def to_dict(self) -> dict:
@@ -194,17 +191,17 @@ def rollout(config: DgpConfig, state: State, steps: int, rng, forced=None):
 
 def simulate(config: DgpConfig, seed: int, n=None) -> Dataset:
     """Draw a panel of n trajectories (default n_train) under the configured
-    DGP; n must be an integer of at least 1, as n_train must."""
-    n = config.n_train if n is None else check_int(n, "n")
-    if n < 1:
-        raise ConfigError(f"n={n} must be at least 1")
+    DGP; n must be an integer of at least 1, as n_train must, and the seed a
+    non-negative integer."""
+    n = config.n_train if n is None else check_int(n, "n", 1)
+    seed = check_int(seed, "seed", 0)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xD6B)))
     x0 = rng.normal(size=(n, config.d_x))
     state = State(
         x=x0, x_prev=np.zeros((n, config.d_x)), y_prev=np.zeros(n), a_prev=np.zeros(n)
     )
     out = rollout(config, state, config.T, rng=rng)
-    meta = {"generator": config.kind, "seed": int(seed), "config": config.to_dict()}
+    meta = {"generator": config.kind, "seed": seed, "config": config.to_dict()}
     return Dataset(out["x"], out["a"].astype(np.int64), out["y"], meta=meta)
 
 
@@ -212,10 +209,7 @@ def _unit_state(data: Dataset, anchor: int, m: int) -> State:
     """The state at `anchor` of the one unit in `data`, repeated m times."""
     if data.n != 1:
         raise ParameterError("pass one unit, e.g. data.subset([i])")
-    m = check_int(m, "m")
-    if m < 1:
-        raise ParameterError(f"m={m} must be at least 1")
-    return State.from_dataset(data, anchor).tile(m)
+    return State.from_dataset(data, anchor).tile(check_int(m, "m", 1))
 
 
 def conditional_rollout(config: DgpConfig, data: Dataset, anchor: int, m: int,
@@ -223,9 +217,10 @@ def conditional_rollout(config: DgpConfig, data: Dataset, anchor: int, m: int,
     """m completed copies of the one unit in `data`: the columns before
     `anchor` are the unit's own, and (X, A, Y) from `anchor` to the end of
     the panel are re-simulated under the observational law given its
-    history. Every copy shares the history at the anchor."""
+    history. Every copy shares the history at the anchor. The seed must be
+    a non-negative integer."""
     state = _unit_state(data, anchor, m)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA0)))
+    rng = np.random.default_rng(np.random.SeedSequence((check_int(seed, "seed", 0), 0xA0)))
     out = rollout(config, state, data.T - anchor, rng=rng)
     x, a, y = (np.repeat(v, len(state.y_prev), axis=0) for v in (data.x, data.a, data.y))
     x[:, anchor:], a[:, anchor:], y[:, anchor:] = out["x"], out["a"], out["y"]

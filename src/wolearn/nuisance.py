@@ -99,7 +99,7 @@ class FittedNuisances:
         self.weight_models = weight_models  # {j: regressor for W_{j+1}(H_j)}
         self.window = window
 
-    def evaluate(self, data: Dataset, floor: float = PROPENSITY_FLOOR) -> NuisanceEvaluation:
+    def evaluate(self, data: Dataset, floor: float) -> NuisanceEvaluation:
         def step(j):
             feats = feature_matrix(data, j, window=self.window)
             pi = self.plan.propensity(j, self.propensity_models[j].predict(feats))

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -49,6 +49,12 @@ class TestRegressor:
         np.testing.assert_array_equal(p1, p2)
         p3 = fit_regressor(x, y, hp=Hyperparameters(hidden=(8,), epochs=60, seed=1)).predict(x)
         assert not np.array_equal(p1, p3)
+
+    def test_constant_target(self):
+        # the target has no spread to standardize by, so its scale stays 1
+        x = np.random.default_rng(3).normal(size=(100, 2))
+        pred = fit_regressor(x, np.full(100, 3.0), hp=FAST).predict(x)
+        assert np.isfinite(pred).all() and np.abs(pred - 3.0).max() < 0.1
 
     def test_input_validation(self):
         with pytest.raises(ParameterError):
@@ -110,6 +116,24 @@ class TestWeightedQuadratic:
         p1 = fit_weighted_quadratic(x, w, q, hp=FAST).predict(x)
         p2 = fit_weighted_quadratic(x, w, q, hp=FAST).predict(x)
         np.testing.assert_array_equal(p1, p2)
+
+    def test_cancelling_weights_normalized_by_absolute_mass(self):
+        # signed weights whose net sum is near 0 would blow up the scale
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(100, 1))
+        w = np.tile([1.0, -1.0], 50)
+        w[0] += 1e-3
+        problem = quadratic_problem(x, w, rng.normal(size=100))
+        np.testing.assert_allclose(problem.columns[0], w * 100 / np.abs(w).sum())
+
+    def test_linear_term_proportional_to_weights(self):
+        # q = 2 w centres to exactly 0, leaving no spread to scale by
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(100, 1))
+        w = rng.uniform(0.5, 1.5, size=100)
+        problem = quadratic_problem(x, w, 2.0 * w)
+        assert problem.y_mean == 2.0 and problem.y_scale == 1.0
+        assert all(np.isfinite(c).all() for c in problem.columns)
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -239,14 +263,13 @@ class TestNetworkIO:
 class TestHyperparameters:
     def test_validation(self):
         # dropout 1 drops every hidden unit and the masks' rescaling divides by 0
-        for bad in (dict(learning_rate=0.0), dict(epochs=0), dict(batch_size=0),
-                    dict(dropout=1.0), dict(dropout=-0.1)):
+        for bad in (dict(learning_rate=0.0), dict(dropout=1.0), dict(dropout=-0.1)):
             with pytest.raises(ParameterError):
                 Hyperparameters(**bad)
 
     @pytest.mark.parametrize("bad, match", [
         (dict(epochs=2.5), "epochs"),
-        (dict(batch_size=10.5), "batch_size"),
+        (dict(epochs=0), "epochs=0 must be at least 1"),
         (dict(seed=1.5), "seed"),
         (dict(seed=-1), "seed"),
         (dict(hidden=(2.5,)), "hidden"),
@@ -268,7 +291,12 @@ class TestHyperparameters:
         with pytest.raises(ParameterError, match=match):
             Hyperparameters(**bad)
 
+    def test_batch_size_is_a_constant(self):
+        assert [f.name for f in fields(Hyperparameters)] == [
+            "hidden", "learning_rate", "epochs", "dropout", "seed"]
+        assert Hyperparameters().batch_size == Hyperparameters.batch_size == 64
+
     def test_integral_floats_become_ints(self):
-        hp = Hyperparameters(hidden=(4.0,), epochs=2.0, batch_size=8.0, seed=0.0)
-        assert (hp.hidden, hp.epochs, hp.batch_size, hp.seed) == ((4,), 2, 8, 0)
-        assert all(type(v) is int for v in (*hp.hidden, hp.epochs, hp.batch_size, hp.seed))
+        hp = Hyperparameters(hidden=(4.0,), epochs=2.0, seed=0.0)
+        assert (hp.hidden, hp.epochs, hp.seed) == ((4,), 2, 0)
+        assert all(type(v) is int for v in (*hp.hidden, hp.epochs, hp.seed))

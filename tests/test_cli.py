@@ -8,7 +8,6 @@ from click.testing import CliRunner
 from wolearn.cli import (SWEEP_COLUMNS, ExperimentSpec, _check_consistency, _load_spec, main,
                          run_cells)
 from wolearn.core import Dataset, ParameterError
-from wolearn.dgp import ConfigError
 from wolearn.learners import run_experiment
 
 TINY = dict(kind="gamma", dgp={"n_train": 200, "n_test": 40, "T": 5},
@@ -53,10 +52,10 @@ class TestExperimentSpec:
         assert not ExperimentSpec(**TINY).pseudo_config.clamp_rho
 
     def test_bad_generator_settings_fail_when_built(self):
-        with pytest.raises(ConfigError, match="unknown generator setting"):
+        with pytest.raises(ParameterError, match="unknown generator setting"):
             ExperimentSpec(**{**TINY, "dgp": {"seed": 3}})
         # tau = 5 is on the reference grid, but gamma's T = 5 leaves no anchor
-        with pytest.raises(ConfigError, match="tau"):
+        with pytest.raises(ParameterError, match="tau"):
             ExperimentSpec(**{**TINY, "axis": "tau", "grid": [1, 5]})
 
     def test_integer_axis_grid_normalized(self):
@@ -90,6 +89,14 @@ class TestExperimentSpec:
         ({"window": True}, "window"),  # a JSON true is not the step count 1
         ({"floor": "0.05"}, "floor"),  # used to raise a bare TypeError
         ({"clamp_rho": 1}, "clamp_rho"),  # used to clamp, as any truthy value did
+        # each used to raise a bare TypeError
+        ({"dgp": {"kind": "pi"}}, "dgp"),
+        ({"dgp": [1]}, "dgp"),
+        ({"seeds": 3}, "seeds"),
+        # a string used to be split into its characters
+        ({"seeds": "01"}, "seeds"),
+        ({"axis": "tau", "grid": "13"}, "grid"),
+        ({"learners": "ra"}, "learners"),
     ])
     def test_faults_fail_when_built(self, fault, match):
         with pytest.raises(ParameterError, match=match):
@@ -101,6 +108,13 @@ class TestExperimentSpec:
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps({**TINY, key: 0.5}))
         with pytest.raises(ParameterError, match=f"unknown spec field.*{key}"):
+            _load_spec(spec_file)
+
+    def test_spec_file_dgp_kind_rejected(self, tmp_path):
+        # the kind is the spec's own field, never a generator setting
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({**TINY, "dgp": {"kind": "pi"}}))
+        with pytest.raises(ParameterError, match="dgp must be an object"):
             _load_spec(spec_file)
 
     def test_spec_file_clamp_rho_must_be_bool(self, tmp_path):
@@ -143,7 +157,8 @@ class TestSimulateCommand:
     def test_seed_is_not_a_generator_setting(self, tmp_path):
         result = CliRunner().invoke(main, ["simulate", "--dgp", '{"seed": 3}',
                                            "--out-dir", str(tmp_path)])
-        assert isinstance(result.exception, ConfigError)
+        assert isinstance(result.exception, ParameterError)
+        assert "unknown generator setting(s) ['seed']" in str(result.exception)
         assert not list(tmp_path.iterdir())
 
 
@@ -245,10 +260,21 @@ class TestSweepCommand:
         assert all("ParameterError" in f["error"] and "units take" in f["error"]
                    for f in failures)
 
+    def test_consistency_check_catches_a_tampered_improvement(self, tmp_path):
+        csv_path = tmp_path / "sweep.csv"
+        rows = [list(SWEEP_COLUMNS), ["wo", 2.0, 0.08, 0.01, 20.0, 1.0],
+                ["ra", 2.0, 0.1, 0.01, "", 1.0]]
+        for rel, consistent in ((20.0, True), (25.0, False)):
+            rows[1][4] = rel
+            with open(csv_path, "w", newline="") as f:
+                csv.writer(f).writerows(rows)
+            assert _check_consistency(csv_path) is consistent
+
     def test_zero_workers_rejected_before_any_work(self, tmp_path):
         spec = ExperimentSpec(**{**TINY, "axis": "gamma", "grid": [2.0]})
-        with pytest.raises(ParameterError, match="workers"):
-            run_cells(spec, 0)
+        for workers in (0, 1.5):  # 1.5 used to reach the process pool
+            with pytest.raises(ParameterError, match="workers"):
+                run_cells(spec, workers)
         out = tmp_path / "out"
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps({**spec.to_dict(), "out_dir": str(out)}))

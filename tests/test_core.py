@@ -37,7 +37,7 @@ class TestInterventionPlan:
             InterventionPlan(0, ())
         with pytest.raises(ParameterError):
             InterventionPlan(0, (0, 2))
-        with pytest.raises(ParameterError, match="negative"):
+        with pytest.raises(ParameterError, match="plan start=-1 must be at least 0"):
             InterventionPlan(-1, (1, 1))
         # int() would truncate these to a valid plan
         with pytest.raises(ParameterError, match="plan value"):

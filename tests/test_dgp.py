@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wolearn import dgp
-from wolearn.core import ParameterError, always_treat, never_treat
+from wolearn.core import ParameterError, always_treat, never_treat, split_dataset
 from wolearn.dgp import (
-    ConfigError,
     DgpConfig,
     OracleNuisanceSet,
     State,
@@ -41,12 +40,12 @@ class TestConfig:
         assert DgpConfig(**cfg.to_dict()) == cfg
 
     def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParameterError, match="unknown DGP kind 'nope'"):
             DgpConfig.make("nope")
 
     def test_unknown_kind_rejected_when_built(self):
         # built directly, the config fails at once, not inside simulate
-        with pytest.raises(ConfigError, match="unknown DGP kind"):
+        with pytest.raises(ParameterError, match="unknown DGP kind"):
             DgpConfig(kind="bogus", T=5, d_x=1, n_train=50, tau=1)
 
     def test_eval_anchor(self):
@@ -59,20 +58,20 @@ class TestConfig:
         for override in ({"seed": 3}, {"gama": 3}, {"sigma_y": -0.3}, {"sigma_x": -0.1},
                          {"sigma_y": math.inf}, {"sigma_x": math.nan}):
             (key,) = override
-            with pytest.raises(ConfigError, match=f"unknown generator setting.*{key}"):
+            with pytest.raises(ParameterError, match=f"unknown generator setting.*{key}"):
                 DgpConfig.make("gamma", **override)
 
     def test_horizon_outside_panel_rejected(self):
         # gamma has T = 5: tau = 5 would put the anchor at -1
         for tau in (5, -1):
-            with pytest.raises(ConfigError, match="tau"):
+            with pytest.raises(ParameterError, match="tau"):
                 DgpConfig.make("gamma", tau=tau)
-        with pytest.raises(ConfigError, match="tau"):
+        with pytest.raises(ParameterError, match="tau"):
             DgpConfig.make("pi", T=3, tau=3)
 
     @pytest.mark.parametrize("size", ["T", "d_x", "n_train", "n_test"])
     def test_sizes_below_one_rejected(self, size):
-        with pytest.raises(ConfigError, match="at least 1"):
+        with pytest.raises(ParameterError, match="at least 1"):
             DgpConfig.make("gamma", **{size: 0})
 
     @pytest.mark.parametrize("fault", [
@@ -114,6 +113,20 @@ class TestSimulate:
         cfg = DgpConfig.make("gamma", n_train=50)
         with pytest.raises(ParameterError, match=match):
             simulate(cfg, seed=0, n=n)
+
+    @pytest.mark.parametrize("draw", ["simulate", "split_dataset", "conditional_rollout"])
+    @pytest.mark.parametrize("seed", [1.5, -1, True, "a"])
+    def test_bad_seed_rejected_by_name(self, draw, seed):
+        # numpy used to raise a bare TypeError or ValueError for each, and
+        # took True as the seed 1
+        cfg = DgpConfig.make("gamma", n_train=10)
+        data = simulate(cfg, seed=0)
+        calls = {"simulate": lambda: simulate(cfg, seed),
+                 "split_dataset": lambda: split_dataset(data, 0.5, seed),
+                 "conditional_rollout": lambda: conditional_rollout(cfg, data.subset([0]), 2,
+                                                                    m=3, seed=seed)}
+        with pytest.raises(ParameterError, match="seed"):
+            calls[draw]()
 
     @pytest.mark.parametrize("n", [3.0, "3"])
     def test_integral_panel_size_accepted(self, n):

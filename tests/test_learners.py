@@ -171,3 +171,10 @@ class TestRunExperiment:
         assert set(r1["rmse"]) == {"wo", "ra"}
         assert r1 == r2
         assert all(np.isfinite(v) for v in r1["rmse"].values())
+
+    def test_tau_zero_cell_scores_every_learner(self):
+        # at tau = 0 the plans have no tail, so no tail-weight model is fitted
+        cfg = DgpConfig.make("gamma", tau=0, n_train=300, n_test=50)
+        rmse = run_experiment(cfg, seed=0, hp=FAST, window=1)["rmse"]
+        assert set(rmse) == set(LEARNERS)
+        assert all(np.isfinite(v) for v in rmse.values())

@@ -169,6 +169,12 @@ class TestFittedNuisances:
         with pytest.raises(ParameterError, match=f"treatment at time {t} is constant"):
             fit_propensity_models(data, t, 0, hp=FAST, window=1)
 
+    def test_plan_past_panel_end_rejected(self, no_training):
+        cfg, data, t, plan = _setup(n=30)
+        start = cfg.T - 1  # a one-step horizon from here ends at T
+        with pytest.raises(ParameterError, match="past the trajectory length"):
+            fit_nuisances(data, (always_treat(start, 1), never_treat(start, 1)), hp=FAST)
+
     def test_too_few_response_units_rejected(self, no_training):
         cfg, data, t, plan = _setup(n=100)
         data.a[:, t + 1] = 0

@@ -122,15 +122,24 @@ class ExperimentSpec:
             json.dumps(self.to_dict(), sort_keys=True).encode()).hexdigest()[:16]
 
 
+def _parse_json(text, name):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParameterError(f"{name} is not valid JSON: {exc}") from exc
+
+
 def _load_spec(spec_path, **overrides) -> ExperimentSpec:
     base = {}
     if spec_path:
-        base = json.loads(Path(spec_path).read_text())
+        base = _parse_json(Path(spec_path).read_text(), f"spec file {spec_path}")
+        if not isinstance(base, dict):
+            raise ParameterError(f"spec file {spec_path} must hold a JSON object, not {base!r}")
     for key, value in overrides.items():
         if value is not None and value != ():
             base[key] = value
     if isinstance(base.get("dgp"), str):
-        base["dgp"] = json.loads(base["dgp"])
+        base["dgp"] = _parse_json(base["dgp"], "dgp")
     unknown = set(base) - {f.name for f in fields(ExperimentSpec)}
     if unknown:
         raise ParameterError(f"unknown spec field(s) {sorted(unknown)}")
@@ -219,6 +228,8 @@ def run(spec_path, seed, **overrides):
     """Train every learner on one cell and write per-cell artifacts:
     metrics JSON, the pseudo-outcome CSV, and model checkpoints."""
     spec = _load_spec(spec_path, **overrides)
+    if spec.axis != "none":
+        raise click.UsageError("run trains one cell and takes no sweep axis; use `sweep`")
     config = spec.config_for()
     out = Path(spec.out_dir) / f"{spec.kind}_seed{seed}"
     out.mkdir(parents=True, exist_ok=True)

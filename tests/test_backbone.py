@@ -56,6 +56,31 @@ class TestRegressor:
         pred = fit_regressor(x, np.full(100, 3.0), hp=FAST).predict(x)
         assert np.isfinite(pred).all() and np.abs(pred - 3.0).max() < 0.1
 
+    def test_is_the_quadratic_objective_with_unit_weights(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(100, 2))
+        y = 3.0 + 2.0 * rng.normal(size=100)
+        problem = regression_problem(x, y)
+        y_mean = np.sum(y) / 100
+        y_scale = np.sqrt(np.sum((y - y_mean) ** 2) / 100)
+        assert problem.y_mean == y_mean and problem.y_scale == y_scale
+        assert len(problem.columns) == 2
+        np.testing.assert_array_equal(problem.columns[0], np.ones(100))
+        np.testing.assert_array_equal(problem.columns[1], (y - y_mean) / y_scale)
+        assert problem.loss_grad is quadratic_problem(x, np.ones(100), y).loss_grad
+
+    def test_fit_equals_unit_weight_quadratic_fit(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(150, 3))
+        y = x[:, 0] - 0.5 * x[:, 1] ** 2
+        hp = Hyperparameters(hidden=(6, 4), epochs=5, seed=3)
+        reg = fit_regressor(x, y, hp)
+        quad = fit_weighted_quadratic(x, np.ones(150), y, hp)
+        for (w1, b1), (w2, b2) in zip(reg.params, quad.params, strict=True):
+            np.testing.assert_array_equal(w1, w2)
+            np.testing.assert_array_equal(b1, b2)
+        assert (reg.y_mean, reg.y_scale) == (quad.y_mean, quad.y_scale)
+
     def test_input_validation(self):
         with pytest.raises(ParameterError):
             fit_regressor(np.zeros(5), np.zeros(5))

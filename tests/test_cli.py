@@ -117,6 +117,20 @@ class TestExperimentSpec:
         with pytest.raises(ParameterError, match="dgp must be an object"):
             _load_spec(spec_file)
 
+    @pytest.mark.parametrize("spec_text, dgp, match", [
+        (None, "{bad", "dgp is not valid JSON"),
+        ("{not json", None, "spec file .*spec.json is not valid JSON"),
+        ("[1, 2]", None, "spec file .*spec.json must hold a JSON object"),
+    ])
+    def test_malformed_json_rejected_by_name(self, tmp_path, spec_text, dgp, match):
+        # each used to raise a bare JSONDecodeError or AttributeError
+        spec_file = None
+        if spec_text is not None:
+            spec_file = tmp_path / "spec.json"
+            spec_file.write_text(spec_text)
+        with pytest.raises(ParameterError, match=match):
+            _load_spec(spec_file, dgp=dgp)
+
     def test_spec_file_clamp_rho_must_be_bool(self, tmp_path):
         # the string "false" is truthy, so it used to clamp
         spec_file = tmp_path / "spec.json"
@@ -288,6 +302,16 @@ class TestSweepCommand:
         spec_file.write_text(json.dumps({**TINY, "out_dir": str(tmp_path)}))
         result = runner.invoke(main, ["sweep", "--spec", str(spec_file)])
         assert result.exit_code != 0
+
+    def test_run_with_sweep_axis_rejected(self, tmp_path):
+        # run used to train at the default gamma and record the grid as if swept
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, [
+            "run", "--kind", "gamma", "--dgp", '{"n_train": 200, "n_test": 40}',
+            "--learners", "ra", "--axis", "gamma", "--grid", "6.5", "--window", "1",
+            "--out-dir", str(out)])
+        assert result.exit_code == 2 and "sweep axis" in result.output
+        assert not out.exists()
 
 
 class TestVerifyCommand:

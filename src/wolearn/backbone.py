@@ -14,6 +14,19 @@ array at once. The only per-task input is the per-sample loss gradient.
 Every network draws its initialization, epoch permutations and dropout
 masks from its own seed, so its parameters are bitwise the same whether it
 trains alone or in a stack.
+
+Each epoch runs in blocks of BLOCK_BATCHES minibatches. Once per block the
+trainer gathers the block's inputs and loss columns and draws, with one
+call per network, the block's dropout uniforms, which it turns into keep
+factors in place; each step then slices views out of the block, and its
+forward pass, backward pass and Adam update write into arrays allocated
+once per fit. A float64 uniform takes one 64-bit word of a network's
+stream, and a block's draws are laid out batch by batch and layer by
+layer, so the stream is consumed exactly as drawing at every step would
+consume it. A block's arrays hold at most BLOCK_BATCHES * batch_size rows
+(512) per network: d inputs, the loss columns and the hidden widths'
+sum in keep factors, float64 each, so their size is bounded by the block,
+not by n or the epoch.
 """
 
 from __future__ import annotations
@@ -29,6 +42,10 @@ from .core import ParameterError, check_int, check_real, sigmoid
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# Minibatches per block: the trainer gathers a block's rows and draws its
+# dropout uniforms once, and each step slices views out of the block.
+BLOCK_BATCHES = 8
 
 
 @dataclass(frozen=True)
@@ -77,48 +94,49 @@ def _init_params(flat, dims, rng):
         w[...] = rng.normal(0.0, np.sqrt(2.0 / w.shape[0]), size=w.shape)
 
 
-def _forward(layers, x, dropout=0.0, rngs=()):
-    """Outputs (..., n) of a stack of networks on inputs x (..., n, d), and
-    the per-layer activations and dropout masks for backprop. Biases must
-    broadcast against (..., n, d_out). With dropout > 0 hidden units are
-    dropped (inverted scaling); network k draws its masks from rngs[k]."""
+def _forward(layers, x, keeps=(), outs=None):
+    """Every layer's output for a stack of networks on inputs x (..., n, d):
+    [x, h_1, ..., h_L], the last (..., n, 1) holding the linear outputs.
+    Biases must broadcast against (..., n, d_out). `keeps` holds one
+    inverted-dropout keep factor array per hidden layer, shaped like its
+    output (empty: no dropout); `outs`, if given, are the arrays the layers
+    write into, so that training reuses them from step to step."""
+    if outs is None:
+        outs = [np.empty((*x.shape[:-1], w.shape[-1])) for w, _ in layers]
     acts = [x]
-    masks = [None]
-    h = x
-    for i, (w, b) in enumerate(layers):
-        z = h @ w + b
+    for i, ((w, b), h) in enumerate(zip(layers, outs)):
+        np.matmul(acts[-1], w, out=h)
+        h += b
         if i < len(layers) - 1:
-            h = np.maximum(z, 0.0)
-            keep = None
-            if dropout > 0.0:
-                draws = np.empty(h.shape)
-                for k, rng in enumerate(rngs):
-                    rng.random(out=draws[k])  # U[0, 1), drawn in place
-                keep = (draws >= dropout) / (1.0 - dropout)
-                h = h * keep
-            masks.append(keep)
-        else:
-            h = z
-            masks.append(None)
+            np.maximum(h, 0.0, out=h)
+            if keeps:
+                h *= keeps[i]
         acts.append(h)
-    return h[..., 0], (acts, masks)
+    return acts
 
 
-def _backward(layers, cache, dout, grads):
+def _backward(layers, acts, dout, grads, keeps=(), work=None):
     """dout: gradient of the objective w.r.t. the linear outputs, (..., n).
-    Writes the per-layer (dW, db) into `grads`, views shaped like `layers`."""
-    acts, masks = cache
+    Writes the per-layer (dW, db) into `grads`, views shaped like `layers`.
+    `keeps` are the forward pass's keep factors; `work`, if given, holds one
+    (delta, gate) pair of arrays per hidden layer, float and bool shaped
+    like its output."""
     delta = dout[..., None]
     for i in range(len(layers) - 1, -1, -1):
         gw, gb = grads[i]
         np.matmul(acts[i].mT, delta, out=gw)
         np.add.reduce(delta, axis=-2, out=gb)
         if i > 0:
-            # (acts > 0) covers the ReLU gate; the mask re-applies the
-            # inverted-dropout keep/scale factor where one was used.
-            delta = (delta @ layers[i][0].mT) * (acts[i] > 0.0)
-            if masks[i] is not None:
-                delta = delta * masks[i]
+            nxt, gate = work[i - 1] if work else (np.empty(acts[i].shape),
+                                                  np.empty(acts[i].shape, dtype=bool))
+            np.matmul(delta, layers[i][0].mT, out=nxt)
+            # (acts > 0) covers the ReLU gate; the keep factor re-applies
+            # the inverted-dropout keep/scale factor where one was used.
+            np.greater(acts[i], 0.0, out=gate)
+            nxt *= gate
+            if keeps:
+                nxt *= keeps[i - 1]
+            delta = nxt
 
 
 # Per-sample gradients of each loss w.r.t. the linear output; the columns
@@ -161,7 +179,7 @@ class Network:
     def predict(self, x):
         """Per row of x (n, d). Regression: predicted value. Classification:
         P(label = 1)."""
-        out, _ = _forward(self.params, self.x_std.apply(np.asarray(x, dtype=float)))
+        out = _forward(self.params, self.x_std.apply(np.asarray(x, dtype=float)))[-1][:, 0]
         if self.task == "regression":
             return out * self.y_scale + self.y_mean
         return sigmoid(out)
@@ -262,6 +280,41 @@ def quadratic_problem(x, weights, linear) -> Problem:
     return Problem(x_std.apply(x), columns, _quadratic_grad, x_std, "regression", m, s)
 
 
+def _step_buffers(k_nets, rows, dims):
+    """The arrays one training step writes into for `rows` samples: each
+    layer's output, and one (delta, gate) pair per hidden layer."""
+    outs = [np.empty((k_nets, rows, d)) for d in dims[1:]]
+    work = [(np.empty((k_nets, rows, d)), np.empty((k_nets, rows, d), dtype=bool))
+            for d in dims[1:-1]]
+    return outs, work
+
+
+def _block_keeps(rngs, rows, batch, hidden, dropout):
+    """Per minibatch of a block of `rows` samples, the inverted-dropout keep
+    factors of each hidden layer as (K, b, width) views; none without
+    dropout. Each network draws one float64 uniform per hidden unit and
+    sample, batch by batch and layer by layer: the order in which drawing
+    at every step would consume its stream."""
+    starts = range(0, rows, batch)
+    if dropout == 0.0:
+        return [()] * len(starts)
+    k_nets = len(rngs)
+    keep = np.empty((k_nets, rows * sum(hidden)))
+    for row, rng in zip(keep, rngs):
+        rng.random(out=row)
+    # the values of (draws >= dropout) / (1 - dropout)
+    np.greater_equal(keep, dropout, out=keep, casting="unsafe")
+    keep /= 1.0 - dropout
+    views, at = [], 0
+    for lo in starts:
+        b = min(batch, rows - lo)
+        views.append([])
+        for width in hidden:
+            views[-1].append(keep[:, at : at + b * width].reshape(k_nets, b, width, copy=False))
+            at += b * width
+    return views
+
+
 def _train(problems, hps):
     """Minibatch Adam on a stack of same-shape problems in lockstep.
     Returns (parameters (K, P), layer dims)."""
@@ -282,29 +335,55 @@ def _train(problems, hps):
     grads = np.zeros_like(params)
     m1 = np.zeros_like(params)
     m2 = np.zeros_like(params)
+    t1 = np.empty_like(params)
+    t2 = np.empty_like(params)
     layers = [(w, b[:, None, :]) for w, b in _layers(params, dims)]
     grad_layers = _layers(grads, dims)
 
     # Rows of network k's data sit at k*n .. k*n + n - 1, so one gather per
-    # array fetches every network's minibatch; np.take gathers the same
-    # rows as fancy indexing in about half the time.
+    # array fetches every network's rows; np.take gathers the same rows as
+    # fancy indexing in about half the time.
     x = np.concatenate([p.x for p in problems])
     columns = np.stack([np.concatenate(c) for c in zip(*(p.columns for p in problems))])
     offsets = n * np.arange(k_nets)[:, None]
+    batch, dropout, hidden = hp.batch_size, hp.dropout, hp.hidden
+    block = BLOCK_BATCHES * batch
+    buffers = {}  # step arrays by batch size: full, and an epoch's short last batch
     step = 0
     for _ in range(hp.epochs):
         order = np.stack([rng.permutation(n) for rng in rngs]) + offsets
-        for lo in range(0, n, hp.batch_size):
-            idx = order[:, lo : lo + hp.batch_size]
-            pred, cache = _forward(layers, np.take(x, idx, axis=0), hp.dropout, rngs)
-            dout = first.loss_grad(pred, *np.take(columns, idx, axis=1)) / idx.shape[1]
-            _backward(layers, cache, dout, grad_layers)
-            step += 1
-            # Adam on the flat (K, P) arrays
-            m1 = ADAM_BETA1 * m1 + (1 - ADAM_BETA1) * grads
-            m2 = ADAM_BETA2 * m2 + (1 - ADAM_BETA2) * grads**2
-            params -= (hp.learning_rate * (m1 / (1.0 - ADAM_BETA1**step))
-                       / (np.sqrt(m2 / (1.0 - ADAM_BETA2**step)) + ADAM_EPS))
+        for start in range(0, n, block):
+            idx = order[:, start : start + block]
+            rows = idx.shape[1]
+            xs = np.take(x, idx, axis=0)
+            cols = np.take(columns, idx, axis=1)
+            keeps = _block_keeps(rngs, rows, batch, hidden, dropout)
+            for lo, keep in zip(range(0, rows, batch), keeps):
+                b = min(batch, rows - lo)
+                if b not in buffers:
+                    buffers[b] = _step_buffers(k_nets, b, dims)
+                outs, work = buffers[b]
+                acts = _forward(layers, xs[:, lo : lo + b], keep, outs)
+                dout = first.loss_grad(acts[-1][..., 0], *cols[:, :, lo : lo + b]) / b
+                _backward(layers, acts, dout, grad_layers, keep, work)
+                step += 1
+                # Adam on the flat (K, P) arrays, in place and in the order
+                # of m1 = b1 m1 + (1 - b1) g, m2 = b2 m2 + (1 - b2) g**2,
+                # params -= lr (m1 / c1) / (sqrt(m2 / c2) + eps)
+                m1 *= ADAM_BETA1
+                np.multiply(grads, 1 - ADAM_BETA1, out=t1)
+                m1 += t1
+                m2 *= ADAM_BETA2
+                np.square(grads, out=t1)
+                t1 *= 1 - ADAM_BETA2
+                m2 += t1
+                np.divide(m1, 1.0 - ADAM_BETA1**step, out=t1)
+                t1 *= hp.learning_rate
+                np.divide(m2, 1.0 - ADAM_BETA2**step, out=t2)
+                np.sqrt(t2, out=t2)
+                t2 += ADAM_EPS
+                t1 /= t2
+                params -= t1
     return params, dims
 
 
@@ -337,10 +416,11 @@ def fit_classifier(x, y, hp: Hyperparameters = Hyperparameters()) -> Network:
     return fit_stack([classification_problem(x, y)], [hp])[0]
 
 
-def gradient_check(seed: int = 0, task: str = "regression", eps: float = 1e-6) -> float:
+def gradient_check(seed: int = 0, task: str = "regression", eps: float = 1e-5) -> float:
     """Max relative error between backprop and central finite differences on
-    a small random problem; validates the hand-written gradients. Regression
-    checks the quadratic objective it trains, with signed weights."""
+    a small random problem; validates the hand-written gradients through the
+    trainer's own forward and backward passes. Regression checks the
+    quadratic objective it trains, with signed weights."""
     rng = np.random.default_rng(seed)
     n, d = 12, 4
     x = rng.normal(size=(n, d))
@@ -353,20 +433,25 @@ def gradient_check(seed: int = 0, task: str = "regression", eps: float = 1e-6) -
     flat = np.zeros(_size(dims))
     _init_params(flat, dims, rng)
     layers = _layers(flat, dims)
+    # Positive biases keep pre-activations off the ReLU kink, where a finite
+    # difference is no derivative: with zero biases, a unit whose inputs are
+    # all off sits exactly on it.
+    for _, b in layers:
+        b[...] = rng.uniform(0.1, 0.5, size=b.shape)
 
     def objective():
-        pred, _ = _forward(layers, x)
+        pred = _forward(layers, x)[-1][:, 0]
         if task == "regression":
             loss = w * pred * pred - 2.0 * y * pred
         else:
-            p = sigmoid(pred)
-            loss = -(y * np.log(p + 1e-12) + (1.0 - y) * np.log(1.0 - p + 1e-12))
+            loss = np.logaddexp(0.0, pred) - y * pred  # exact even where sigmoid saturates
         return float(np.sum(loss) / n)
 
-    pred, cache = _forward(layers, x)
+    acts = _forward(layers, x)
+    pred = acts[-1][:, 0]
     dout = _quadratic_grad(pred, w, y) if task == "regression" else _logistic_grad(pred, y)
     grads = np.empty_like(flat)
-    _backward(layers, cache, dout / n, _layers(grads, dims))
+    _backward(layers, acts, dout / n, _layers(grads, dims))
 
     worst = 0.0
     for k in range(flat.size):

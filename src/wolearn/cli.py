@@ -195,11 +195,11 @@ def simulate(spec_path, n, seed, **overrides):
 def _run_cell(spec: ExperimentSpec, axis_value, seed):
     """One (grid value, seed) cell; pure function of its arguments."""
     config = spec.config_for(None if spec.axis == "none" else axis_value)
-    t0 = time.time()
+    t0 = time.perf_counter()
     result = run_experiment(config, seed=seed, learners=spec.learners,
                             pseudo_config=spec.pseudo_config, window=spec.window,
                             floor=spec.floor)
-    result["seconds"] = time.time() - t0
+    result["cell_seconds"] = time.perf_counter() - t0
     return result
 
 
@@ -241,13 +241,14 @@ def run(spec_path, seed, **overrides):
 
     metrics = []
     for name in spec.learners:
-        t0 = time.time()
+        t0 = time.perf_counter()
         model = train_learner(cell, name, pseudo_config=spec.pseudo_config, seed=seed)
         rmse = evaluate_rmse(model, test, truth)
+        wallclock = time.perf_counter() - t0  # training and scoring, as in a sweep
         model.network.save(out / f"model_{name}.npz")
         metrics.append({
             "learner": name, "dgp": spec.kind, "params": config.to_dict(), "seed": seed,
-            "rmse": rmse, "wallclock": time.time() - t0,
+            "rmse": rmse, "wallclock": wallclock,
         })
         click.echo(f"{name}: rmse={rmse:.4f}")
     (out / "metrics.json").write_text(json.dumps(
@@ -278,8 +279,10 @@ def sweep(spec_path, workers, **overrides):
         writer = csv.writer(f)
         writer.writerow(SWEEP_COLUMNS)
         writer.writerows(rows)
+    cell_seconds = [{"cell": key, "seconds": r["cell_seconds"]} for key, r in results.items()]
     (out / f"sweep_{spec.axis}_{spec.hash}.json").write_text(json.dumps(
-        {"spec_hash": spec.hash, "spec": spec.to_dict(), "failures": failures}, indent=2))
+        {"spec_hash": spec.hash, "spec": spec.to_dict(), "failures": failures,
+         "cell_seconds": cell_seconds}, indent=2))
 
     consistent = _check_consistency(csv_path)
     for row in rows:
@@ -292,6 +295,9 @@ def sweep(spec_path, workers, **overrides):
 
 
 def _aggregate(spec: ExperimentSpec, results: dict):
+    """One CSV row per (learner, grid value): mean and SD of the RMSE over
+    the value's seeds, WO's relative improvement over the best baseline,
+    and the learner's own training-and-scoring time summed over seeds."""
     rows = []
     for value in spec.grid:
         cells = [results[value, s] for s in spec.seeds if (value, s) in results]
@@ -302,7 +308,7 @@ def _aggregate(spec: ExperimentSpec, results: dict):
             rmses = [c["rmse"][name] for c in cells]
             per_learner[name] = (float(np.mean(rmses)),
                                  float(np.std(rmses, ddof=1)) if len(rmses) > 1 else 0.0,
-                                 float(np.sum([c["seconds"] for c in cells])))
+                                 float(np.sum([c["seconds"][name] for c in cells])))
         baselines = {k: v[0] for k, v in per_learner.items() if k != "wo"}
         best_baseline = min(baselines.values()) if baselines else None
         for name, (mean, sd, secs) in per_learner.items():

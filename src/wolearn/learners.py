@@ -19,6 +19,7 @@ fitted on it, so that several learners reuse one set of nuisance fits.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -195,10 +196,13 @@ def build_cell(config, seed=0, hp=backbone.Hyperparameters(), window="full",
 def run_experiment(config, seed=0, learners=LEARNERS, hp=backbone.Hyperparameters(),
                    pseudo_config=PseudoConfig(), window="full", floor=PROPENSITY_FLOOR):
     """One full cell: build it, fit every learner, score against ground
-    truth. Returns {"seed": seed, "rmse": {learner: rmse}}."""
+    truth. Returns {"seed": seed, "rmse": {learner: rmse}, "seconds":
+    {learner: wall time of its training and scoring}}."""
     cell, test, truth = build_cell(config, seed=seed, hp=hp, window=window, floor=floor)
-    result = {"seed": seed, "rmse": {}}
+    result = {"seed": seed, "rmse": {}, "seconds": {}}
     for name in learners:
+        t0 = time.perf_counter()
         model = train_learner(cell, name, hp=hp, pseudo_config=pseudo_config, seed=seed)
         result["rmse"][name] = evaluate_rmse(model, test, truth)
+        result["seconds"][name] = time.perf_counter() - t0
     return result

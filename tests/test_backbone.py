@@ -7,6 +7,7 @@ from wolearn.backbone import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    BLOCK_BATCHES,
     Hyperparameters,
     Network,
     classification_problem,
@@ -24,11 +25,15 @@ FAST = Hyperparameters(hidden=(8,), epochs=200, learning_rate=0.01, dropout=0.0)
 
 
 class TestGradientCheck:
+    # every seed, not one: the check's network keeps its pre-activations off
+    # the ReLU kink, so a seed that fails points at the gradients
     def test_regression_gradients(self):
-        assert gradient_check(seed=0, task="regression") <= 1e-4
+        errors = {s: gradient_check(seed=s, task="regression") for s in range(20)}
+        assert max(errors.values()) <= 1e-4, errors
 
     def test_classification_gradients(self):
-        assert gradient_check(seed=0, task="classification") <= 1e-4
+        errors = {s: gradient_check(seed=s, task="classification") for s in range(20)}
+        assert max(errors.values()) <= 1e-4, errors
 
 
 class TestRegressor:
@@ -222,36 +227,54 @@ def _reference_fit(problem, hp):
     return params
 
 
+def _assert_stack_matches(loss, n, hps):
+    """Each network of a stack on `n` rows is bitwise equal to its lone fit
+    and to `_reference_fit`."""
+    xs, labels, targets, weights = _stack_inputs(n=n)
+    if loss == "classification":
+        problems = [classification_problem(x, y) for x, y in zip(xs, labels)]
+        alone = [fit_classifier(x, y, hp=hp) for x, y, hp in zip(xs, labels, hps)]
+    elif loss == "regression":
+        problems = [regression_problem(x, y) for x, y in zip(xs, targets)]
+        alone = [fit_regressor(x, y, hp=hp) for x, y, hp in zip(xs, targets, hps)]
+    else:
+        problems = [quadratic_problem(x, w, q) for x, w, q in zip(xs, weights, targets)]
+        alone = [fit_weighted_quadratic(x, w, q, hp=hp)
+                 for x, w, q, hp in zip(xs, weights, targets, hps)]
+    for lone, problem, hp in zip(alone, problems, hps):
+        flat = [a for layer in lone.params for a in layer]
+        for got, want in zip(flat, _reference_fit(problem, hp), strict=True):
+            np.testing.assert_array_equal(got, want)
+    stacked = fit_stack(problems, hps)
+    assert len(stacked) == 3
+    for lone, member, x in zip(alone, stacked, xs):
+        for (w1, b1), (w2, b2) in zip(lone.params, member.params):
+            np.testing.assert_array_equal(w1, w2)
+            np.testing.assert_array_equal(b1, b2)
+        np.testing.assert_array_equal(lone.predict(x), member.predict(x))
+    assert not np.array_equal(stacked[0].params[0][0], stacked[1].params[0][0])
+
+
+LOSSES = ["classification", "regression", "weighted quadratic"]
+
+
 class TestStackedTraining:
     # n = 203 is not a multiple of the batch size, so the last batch is short
     @pytest.mark.parametrize("dropout", [0.0, 0.9])
-    @pytest.mark.parametrize("loss", ["classification", "regression", "weighted quadratic"])
+    @pytest.mark.parametrize("loss", LOSSES)
     def test_stack_members_equal_lone_fits(self, loss, dropout):
-        xs, labels, targets, weights = _stack_inputs()
         hps = [Hyperparameters(hidden=(6, 4), epochs=5, dropout=dropout, seed=s)
                for s in (11, 12, 13)]
-        if loss == "classification":
-            problems = [classification_problem(x, y) for x, y in zip(xs, labels)]
-            alone = [fit_classifier(x, y, hp=hp) for x, y, hp in zip(xs, labels, hps)]
-        elif loss == "regression":
-            problems = [regression_problem(x, y) for x, y in zip(xs, targets)]
-            alone = [fit_regressor(x, y, hp=hp) for x, y, hp in zip(xs, targets, hps)]
-        else:
-            problems = [quadratic_problem(x, w, q) for x, w, q in zip(xs, weights, targets)]
-            alone = [fit_weighted_quadratic(x, w, q, hp=hp)
-                     for x, w, q, hp in zip(xs, weights, targets, hps)]
-        for lone, problem, hp in zip(alone, problems, hps):
-            flat = [a for layer in lone.params for a in layer]
-            for got, want in zip(flat, _reference_fit(problem, hp), strict=True):
-                np.testing.assert_array_equal(got, want)
-        stacked = fit_stack(problems, hps)
-        assert len(stacked) == 3
-        for lone, member, x in zip(alone, stacked, xs):
-            for (w1, b1), (w2, b2) in zip(lone.params, member.params):
-                np.testing.assert_array_equal(w1, w2)
-                np.testing.assert_array_equal(b1, b2)
-            np.testing.assert_array_equal(lone.predict(x), member.predict(x))
-        assert not np.array_equal(stacked[0].params[0][0], stacked[1].params[0][0])
+        _assert_stack_matches(loss, 203, hps)
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    def test_block_boundaries(self, loss):
+        # two full blocks of minibatches, then a short block whose last batch
+        # is short; every block draws its own dropout uniforms
+        n = 2 * BLOCK_BATCHES * Hyperparameters.batch_size + 70
+        hps = [Hyperparameters(hidden=(6, 4), epochs=2, dropout=0.9, seed=s)
+               for s in (11, 12, 13)]
+        _assert_stack_matches(loss, n, hps)
 
     def test_mismatched_members_rejected(self):
         xs, labels, targets, _ = _stack_inputs(n=40)

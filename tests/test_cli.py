@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from wolearn.cli import (SWEEP_COLUMNS, ExperimentSpec, _check_consistency, _load_spec, main,
-                         run_cells)
+from wolearn.cli import (SWEEP_COLUMNS, ExperimentSpec, _aggregate, _check_consistency,
+                         _load_spec, main, run_cells)
 from wolearn.core import Dataset, ParameterError
 from wolearn.learners import run_experiment
 
@@ -243,6 +243,8 @@ class TestSweepCommand:
         prov = json.loads(csvs[0].with_suffix(".json").read_text())
         assert prov["failures"] == []
         assert prov["spec_hash"] in csvs[0].name
+        assert [c["cell"] for c in prov["cell_seconds"]] == [[2.0, 0], [4.0, 0]]
+        assert all(c["seconds"] > 0 for c in prov["cell_seconds"])
 
     def test_worker_count_does_not_change_results(self, tmp_path):
         runner = CliRunner()
@@ -273,6 +275,23 @@ class TestSweepCommand:
         assert [f["cell"] for f in failures] == [[2.0, 0], [2.0, 1], [4.0, 0], [4.0, 1]]
         assert all("ParameterError" in f["error"] and "units take" in f["error"]
                    for f in failures)
+
+    def test_aggregate_sums_each_learners_own_time(self):
+        spec = ExperimentSpec(**{**TINY, "axis": "gamma", "grid": [2.0, 4.0], "seeds": [0, 1]})
+        results = {
+            (2.0, 0): {"rmse": {"wo": 0.1, "ra": 0.3}, "seconds": {"wo": 1.0, "ra": 0.25},
+                       "cell_seconds": 9.0},
+            (2.0, 1): {"rmse": {"wo": 0.3, "ra": 0.5}, "seconds": {"wo": 2.0, "ra": 0.5},
+                       "cell_seconds": 9.0},
+            (4.0, 1): {"rmse": {"wo": 0.2, "ra": 0.1}, "seconds": {"wo": 3.0, "ra": 1.5},
+                       "cell_seconds": 9.0},  # seed 0 of 4.0 failed
+        }
+        assert _aggregate(spec, results) == [
+            ["wo", 2.0, 0.2, round(np.std([0.1, 0.3], ddof=1), 6), 50.0, 3.0],
+            ["ra", 2.0, 0.4, round(np.std([0.3, 0.5], ddof=1), 6), "", 0.75],
+            ["wo", 4.0, 0.2, 0.0, -100.0, 3.0],
+            ["ra", 4.0, 0.1, 0.0, "", 1.5],
+        ]
 
     def test_consistency_check_catches_a_tampered_improvement(self, tmp_path):
         csv_path = tmp_path / "sweep.csv"

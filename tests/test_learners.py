@@ -168,8 +168,9 @@ class TestRunExperiment:
         cfg = DgpConfig.make("gamma", n_train=300, n_test=50)
         r1 = run_experiment(cfg, seed=0, learners=("wo", "ra"), hp=FAST, window=1)
         r2 = run_experiment(cfg, seed=0, learners=("wo", "ra"), hp=FAST, window=1)
-        assert set(r1["rmse"]) == {"wo", "ra"}
-        assert r1 == r2
+        assert set(r1["rmse"]) == set(r1["seconds"]) == {"wo", "ra"}
+        assert r1["rmse"] == r2["rmse"]  # the seconds are wall times
+        assert all(v > 0 for v in r1["seconds"].values())
         assert all(np.isfinite(v) for v in r1["rmse"].values())
 
     def test_tau_zero_cell_scores_every_learner(self):

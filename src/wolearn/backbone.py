@@ -7,26 +7,36 @@ q = y. The weights may be negative: the objective is normalized once by the
 weights' total over the full training set so per-batch gradients stay
 stable.
 
-One trainer fits a stack of K same-shape networks in lockstep: their
-parameters live in one (K, P) array with per-layer views into it, the
-forward and backward passes are stacked matmuls, and Adam updates the whole
-array at once. The only per-task input is the per-sample loss gradient.
-Every network draws its initialization, epoch permutations and dropout
-masks from its own seed, so its parameters are bitwise the same whether it
-trains alone or in a stack.
+One trainer fits a stack of K networks in lockstep: their parameters live
+in one (K, P) array with per-layer views into it, the forward and backward
+passes are stacked matmuls, and Adam updates the array in place. The
+members share d, the loss and every hyperparameter but the seed; their
+row counts n_k may differ. The only per-task input is the per-sample loss
+gradient. Every network draws its initialization, epoch permutations and
+dropout masks from its own seed, so its parameters are bitwise the same
+whether it trains alone or in a stack.
 
-Each epoch runs in blocks of BLOCK_BATCHES minibatches. Once per block the
-trainer gathers the block's inputs and loss columns and draws, with one
-call per network, the block's dropout uniforms, which it turns into keep
-factors in place; each step then slices views out of the block, and its
-forward pass, backward pass and Adam update write into arrays allocated
-once per fit. A float64 uniform takes one 64-bit word of a network's
-stream, and a block's draws are laid out batch by batch and layer by
-layer, so the stream is consumed exactly as drawing at every step would
-consume it. A block's arrays hold at most BLOCK_BATCHES * batch_size rows
-(512) per network: d inputs, the loss columns and the hidden widths'
-sum in keep factors, float64 each, so their size is bounded by the block,
-not by n or the epoch.
+Global step s is the s-th minibatch and Adam step of every member that has
+one left; members are ordered by their number of steps, so those still
+training are a prefix of the stack. A step in which they all have the same
+batch size is one stacked pass over the prefix, as is every step of a stack
+of equal n; a step in which their batch sizes differ (a member's short last
+batch of an epoch) runs the pass on each member alone.
+
+The steps run in blocks of BLOCK_BATCHES. Once per block the trainer
+gathers each member's minibatches into slots of batch_size rows, a short
+batch at the front of its slot, and draws the member's dropout uniforms
+into slots of batch_size * sum(hidden), one call per run of its batches
+within an epoch, which it turns into keep factors in place; each step reads
+views of the block, and its forward pass, backward pass and Adam update
+write into arrays allocated once per fit. A float64 uniform takes one
+64-bit word of a network's stream, and a member's draws are laid out batch
+by batch and layer by layer, after the permutation of the epoch they
+belong to, so the stream is consumed exactly as drawing at every step
+would consume it. A block's arrays hold BLOCK_BATCHES * batch_size rows
+(512) per member: d inputs, the loss columns and the hidden widths' sum in
+keep factors, float64 each, so their size is bounded by the block, not by
+n or the epoch.
 """
 
 from __future__ import annotations
@@ -281,54 +291,37 @@ def quadratic_problem(x, weights, linear) -> Problem:
 
 
 def _step_buffers(k_nets, rows, dims):
-    """The arrays one training step writes into for `rows` samples: each
-    layer's output, and one (delta, gate) pair per hidden layer."""
+    """The arrays one training pass writes into for `k_nets` members of
+    `rows` samples each: each layer's output, and one (delta, gate) pair per
+    hidden layer."""
     outs = [np.empty((k_nets, rows, d)) for d in dims[1:]]
     work = [(np.empty((k_nets, rows, d)), np.empty((k_nets, rows, d), dtype=bool))
             for d in dims[1:-1]]
     return outs, work
 
 
-def _block_keeps(rngs, rows, batch, hidden, dropout):
-    """Per minibatch of a block of `rows` samples, the inverted-dropout keep
-    factors of each hidden layer as (K, b, width) views; none without
-    dropout. Each network draws one float64 uniform per hidden unit and
-    sample, batch by batch and layer by layer: the order in which drawing
-    at every step would consume its stream."""
-    starts = range(0, rows, batch)
-    if dropout == 0.0:
-        return [()] * len(starts)
-    k_nets = len(rngs)
-    keep = np.empty((k_nets, rows * sum(hidden)))
-    for row, rng in zip(keep, rngs):
-        rng.random(out=row)
-    # the values of (draws >= dropout) / (1 - dropout)
-    np.greater_equal(keep, dropout, out=keep, casting="unsafe")
-    keep /= 1.0 - dropout
-    views, at = [], 0
-    for lo in starts:
-        b = min(batch, rows - lo)
-        views.append([])
-        for width in hidden:
-            views[-1].append(keep[:, at : at + b * width].reshape(k_nets, b, width, copy=False))
-            at += b * width
-    return views
-
-
 def _train(problems, hps):
-    """Minibatch Adam on a stack of same-shape problems in lockstep.
-    Returns (parameters (K, P), layer dims)."""
+    """Minibatch Adam on a stack of problems in lockstep, as the module
+    docstring describes. Members may differ in n; they share d, the loss and
+    every hyperparameter but the seed. Returns (parameters (K, P) in the
+    order of `problems`, layer dims)."""
     if not problems or len(problems) != len(hps):
         raise ParameterError("a stack needs one Hyperparameters per problem")
-    first, hp = problems[0], hps[0]
-    n, d = first.x.shape
+    d, loss_grad, hp = problems[0].x.shape[1], problems[0].loss_grad, hps[0]
     for p, h in zip(problems, hps):
-        if p.x.shape != (n, d) or p.loss_grad is not first.loss_grad or replace(h, seed=hp.seed) != hp:
-            raise ParameterError("stacked fits must share n, d, the loss and every "
+        if p.x.shape[1] != d or p.loss_grad is not loss_grad or replace(h, seed=hp.seed) != hp:
+            raise ParameterError("stacked fits must share d, the loss and every "
                                  "hyperparameter but the seed")
-    dims = [d, *hp.hidden, 1]
+    batch, dropout, hidden = hp.batch_size, hp.dropout, hp.hidden
+    # most rows first, so the members still training are a prefix of the stack
+    rank = sorted(range(len(problems)), key=lambda k: -problems[k].x.shape[0])
+    problems = [problems[k] for k in rank]
+    ns = [p.x.shape[0] for p in problems]
+    per_epoch = [-(-n // batch) for n in ns]
+    ends = [hp.epochs * s for s in per_epoch]  # each member's last step, non-increasing
+    dims = [d, *hidden, 1]
     k_nets = len(problems)
-    rngs = [np.random.default_rng(np.random.SeedSequence((h.seed, 0xB0))) for h in hps]
+    rngs = [np.random.default_rng(np.random.SeedSequence((hps[k].seed, 0xB0))) for k in rank]
     params = np.zeros((k_nets, _size(dims)))
     for row, rng in zip(params, rngs):
         _init_params(row, dims, rng)
@@ -337,54 +330,104 @@ def _train(problems, hps):
     m2 = np.zeros_like(params)
     t1 = np.empty_like(params)
     t2 = np.empty_like(params)
-    layers = [(w, b[:, None, :]) for w, b in _layers(params, dims)]
-    grad_layers = _layers(grads, dims)
 
-    # Rows of network k's data sit at k*n .. k*n + n - 1, so one gather per
-    # array fetches every network's rows; np.take gathers the same rows as
-    # fancy indexing in about half the time.
+    # Rows of member k's data follow those of the members before it, so one
+    # gather per array fetches every member's block into arrays reused from
+    # block to block; np.take gathers the same rows as fancy indexing in
+    # about half the time.
     x = np.concatenate([p.x for p in problems])
     columns = np.stack([np.concatenate(c) for c in zip(*(p.columns for p in problems))])
-    offsets = n * np.arange(k_nets)[:, None]
-    batch, dropout, hidden = hp.batch_size, hp.dropout, hp.hidden
-    block = BLOCK_BATCHES * batch
-    buffers = {}  # step arrays by batch size: full, and an epoch's short last batch
-    step = 0
-    for _ in range(hp.epochs):
-        order = np.stack([rng.permutation(n) for rng in rngs]) + offsets
-        for start in range(0, n, block):
-            idx = order[:, start : start + block]
-            rows = idx.shape[1]
-            xs = np.take(x, idx, axis=0)
-            cols = np.take(columns, idx, axis=1)
-            keeps = _block_keeps(rngs, rows, batch, hidden, dropout)
-            for lo, keep in zip(range(0, rows, batch), keeps):
-                b = min(batch, rows - lo)
-                if b not in buffers:
-                    buffers[b] = _step_buffers(k_nets, b, dims)
-                outs, work = buffers[b]
-                acts = _forward(layers, xs[:, lo : lo + b], keep, outs)
-                dout = first.loss_grad(acts[-1][..., 0], *cols[:, :, lo : lo + b]) / b
-                _backward(layers, acts, dout, grad_layers, keep, work)
-                step += 1
-                # Adam on the flat (K, P) arrays, in place and in the order
-                # of m1 = b1 m1 + (1 - b1) g, m2 = b2 m2 + (1 - b2) g**2,
-                # params -= lr (m1 / c1) / (sqrt(m2 / c2) + eps)
-                m1 *= ADAM_BETA1
-                np.multiply(grads, 1 - ADAM_BETA1, out=t1)
-                m1 += t1
-                m2 *= ADAM_BETA2
-                np.square(grads, out=t1)
-                t1 *= 1 - ADAM_BETA2
-                m2 += t1
-                np.divide(m1, 1.0 - ADAM_BETA1**step, out=t1)
-                t1 *= hp.learning_rate
-                np.divide(m2, 1.0 - ADAM_BETA2**step, out=t2)
-                np.sqrt(t2, out=t2)
-                t2 += ADAM_EPS
-                t1 /= t2
-                params -= t1
-    return params, dims
+    offsets = np.cumsum([0, *ns[:-1]])
+    orders = [None] * k_nets
+    width = sum(hidden)
+    starts = [sum(hidden[:i]) for i in range(len(hidden))]  # each layer's first unit
+    rows = BLOCK_BATCHES * batch
+    idx = np.zeros((k_nets, rows), dtype=np.intp)
+    keep = np.zeros((k_nets, rows * width)) if dropout else None
+    sizes = [[0] * BLOCK_BATCHES for _ in range(k_nets)]  # batch size per slot
+    xs = cols = None
+    buffers = {}  # (members, batch size) -> step arrays
+    views = {}  # (lo, hi, batch size, slot) -> what a pass over members lo .. hi-1 reads
+
+    def pass_views(lo, hi, b, slot):
+        if (hi - lo, b) not in buffers:
+            buffers[hi - lo, b] = _step_buffers(hi - lo, b, dims)
+        at = slot * batch
+        keeps = [keep[lo:hi, at * width + b * s : at * width + b * (s + w)]
+                 .reshape(hi - lo, b, w, copy=False)
+                 for s, w in zip(starts, hidden)] if dropout else ()
+        return ([(w, v[:, None, :]) for w, v in _layers(params[lo:hi], dims)],
+                _layers(grads[lo:hi], dims), *buffers[hi - lo, b],
+                xs[lo:hi, at : at + b], tuple(cols[:, lo:hi, at : at + b]), keeps)
+
+    live = k_nets
+    adam = [params, grads, m1, m2, t1, t2]
+    for first in range(0, ends[0], BLOCK_BATCHES):
+        block = sum(end > first for end in ends)  # members still training
+        for k in range(block):
+            slot, count = 0, min(BLOCK_BATCHES, ends[k] - first)
+            while slot < count:
+                q = (first + slot) % per_epoch[k]  # the batch's place in its epoch
+                if q == 0:
+                    orders[k] = rngs[k].permutation(ns[k]) + offsets[k]
+                run = min(count - slot, per_epoch[k] - q)
+                run_rows = min(ns[k] - q * batch, run * batch)
+                at = slot * batch
+                idx[k, at : at + run_rows] = orders[k][q * batch : q * batch + run_rows]
+                if dropout:
+                    rngs[k].random(out=keep[k, at * width : (at + run_rows) * width])
+                sizes[k][slot : slot + run] = [batch] * (run - 1) + [run_rows - (run - 1) * batch]
+                slot += run
+        if xs is None or len(xs) != block:
+            xs = np.empty((block, rows, d))
+            cols = np.empty((len(columns), block, rows))
+            views.clear()
+        # every index is in range, and "clip" writes to `out` unbuffered
+        np.take(x, idx[:block], axis=0, out=xs, mode="clip")
+        np.take(columns, idx[:block], axis=1, out=cols, mode="clip")
+        if dropout:
+            # the values of (draws >= dropout) / (1 - dropout)
+            block_keep = keep[:block]
+            np.greater_equal(block_keep, dropout, out=block_keep, casting="unsafe")
+            block_keep /= 1.0 - dropout
+        for slot in range(min(BLOCK_BATCHES, ends[0] - first)):
+            step = first + slot + 1
+            while ends[live - 1] < step:
+                live -= 1
+                adam = [a[:live] for a in (params, grads, m1, m2, t1, t2)]
+            b = sizes[0][slot]
+            if any(sizes[k][slot] != b for k in range(1, live)):
+                groups = [(k, k + 1, sizes[k][slot]) for k in range(live)]
+            else:
+                groups = ((0, live, b),)
+            for lo, hi, b in groups:
+                key = (lo, hi, b, slot)
+                if key not in views:
+                    views[key] = pass_views(*key)
+                layers, grad_layers, outs, work, x_b, cols_b, keeps = views[key]
+                acts = _forward(layers, x_b, keeps, outs)
+                dout = loss_grad(acts[-1][..., 0], *cols_b) / b
+                _backward(layers, acts, dout, grad_layers, keeps, work)
+            # Adam on the live members' rows of the flat (K, P) arrays, in
+            # place and in the order of m1 = b1 m1 + (1 - b1) g,
+            # m2 = b2 m2 + (1 - b2) g**2,
+            # params -= lr (m1 / c1) / (sqrt(m2 / c2) + eps)
+            p_, g_, m1_, m2_, t1_, t2_ = adam
+            m1_ *= ADAM_BETA1
+            np.multiply(g_, 1 - ADAM_BETA1, out=t1_)
+            m1_ += t1_
+            m2_ *= ADAM_BETA2
+            np.square(g_, out=t1_)
+            t1_ *= 1 - ADAM_BETA2
+            m2_ += t1_
+            np.divide(m1_, 1.0 - ADAM_BETA1**step, out=t1_)
+            t1_ *= hp.learning_rate
+            np.divide(m2_, 1.0 - ADAM_BETA2**step, out=t2_)
+            np.sqrt(t2_, out=t2_)
+            t2_ += ADAM_EPS
+            t1_ /= t2_
+            p_ -= t1_
+    return params[np.argsort(rank)], dims
 
 
 def fit_stack(problems, hps) -> list:
@@ -420,7 +463,8 @@ def gradient_check(seed: int = 0, task: str = "regression", eps: float = 1e-5) -
     """Max relative error between backprop and central finite differences on
     a small random problem; validates the hand-written gradients through the
     trainer's own forward and backward passes. Regression checks the
-    quadratic objective it trains, with signed weights."""
+    quadratic objective it trains, with signed weights. A parameter whose
+    step crosses a ReLU kink is differenced again at a smaller step."""
     rng = np.random.default_rng(seed)
     n, d = 12, 4
     x = rng.normal(size=(n, d))
@@ -440,28 +484,43 @@ def gradient_check(seed: int = 0, task: str = "regression", eps: float = 1e-5) -
         b[...] = rng.uniform(0.1, 0.5, size=b.shape)
 
     def objective():
-        pred = _forward(layers, x)[-1][:, 0]
+        """(objective, each hidden layer's ReLU on/off pattern)"""
+        acts = _forward(layers, x)
+        pred = acts[-1][:, 0]
         if task == "regression":
             loss = w * pred * pred - 2.0 * y * pred
         else:
             loss = np.logaddexp(0.0, pred) - y * pred  # exact even where sigmoid saturates
-        return float(np.sum(loss) / n)
+        return float(np.sum(loss) / n), [a > 0.0 for a in acts[1:-1]]
 
     acts = _forward(layers, x)
     pred = acts[-1][:, 0]
     dout = _quadratic_grad(pred, w, y) if task == "regression" else _logistic_grad(pred, y)
     grads = np.empty_like(flat)
     _backward(layers, acts, dout / n, _layers(grads, dims))
+    pattern = [a > 0.0 for a in acts[1:-1]]
+
+    def same(on):
+        return all(np.array_equal(a, b) for a, b in zip(on, pattern))
 
     worst = 0.0
     for k in range(flat.size):
         orig = flat[k]
-        flat[k] = orig + eps
-        up = objective()
-        flat[k] = orig - eps
-        down = objective()
+        # A step that turns a ReLU on or off straddles its kink, where the
+        # difference is no derivative; such a parameter is differenced again
+        # at a ten times smaller step until the pattern holds at both points,
+        # down to eps * 1e-5; it is never skipped.
+        step = eps
+        while True:
+            flat[k] = orig + step
+            up, up_on = objective()
+            flat[k] = orig - step
+            down, down_on = objective()
+            if (same(up_on) and same(down_on)) or step < eps * 1e-5:
+                break
+            step /= 10.0
         flat[k] = orig
-        fd = (up - down) / (2.0 * eps)
+        fd = (up - down) / (2.0 * step)
         denom = max(abs(fd), abs(grads[k]), 1e-8)
         worst = max(worst, abs(fd - grads[k]) / denom)
     return worst

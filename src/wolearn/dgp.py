@@ -118,12 +118,17 @@ def propensity_logit(config: DgpConfig, x_t, y_prev, a_prev):
 
 def outcome_mean(config: DgpConfig, x_t, x_prev, a_t):
     """f_y evaluated on state arrays (the noiseless outcome)."""
-    if config.kind in ("gamma", "pi"):
-        return 0.5 * np.exp(-np.mean(x_t, axis=-1) ** 2) * (a_t - 0.5)
     if config.kind == "mu":
         c = np.mean(np.cos(x_prev) * np.cos(np.cos(x_prev)), axis=-1)
         return np.exp(0.5 * (a_t - 0.5) * c)
-    return 0.5 * np.exp(-np.mean(np.cos(x_t), axis=-1) ** 2) * (a_t - 0.5)  # kind "n"
+    return _outcome_level(config, x_t) * (a_t - 0.5)
+
+
+def _outcome_level(config: DgpConfig, x_t):
+    """f_y / (A_t - 0.5) for the kinds whose outcome is linear in the arm
+    (gamma, pi and n)."""
+    s = x_t if config.kind in ("gamma", "pi") else np.cos(x_t)
+    return 0.5 * np.exp(-np.mean(s, axis=-1) ** 2)
 
 
 @dataclass
@@ -256,22 +261,31 @@ def expected_outcome(config: DgpConfig, x, x_prev, a, delta: int):
     only A_{j+delta} and one covariate slice, so no earlier treatment
     matters and each expectation is a Gaussian integral per dimension.
     """
+    if config.kind != "mu":
+        return _expected_level(config, x, delta) * (a - 0.5)
+    x = np.asarray(x, dtype=float)
+    # f_y reads the slice before its own time: x_prev at delta 0
+    if delta <= 1:
+        return outcome_mean(config, None, x_prev if delta == 0 else x, a)
+    d = x.shape[-1]
+    c = 0.5 * (a - 0.5) / d
+    mean, var = _ar_moments(x, delta - 1, config.sigma_x)
+    g = _gh_expect(lambda z: np.exp(c * np.cos(z) * np.cos(np.cos(z))), mean, math.sqrt(var))
+    return np.prod(g, axis=-1)
+
+
+def _expected_level(config: DgpConfig, x, delta: int):
+    """E[Y_{j+delta} | X_j = x] / (a - 0.5) for the kinds whose outcome is
+    linear in the arm (gamma, pi and n): the arm-free part of
+    `expected_outcome`."""
     x = np.asarray(x, dtype=float)
     d, sigma_x = x.shape[-1], config.sigma_x
     if config.kind in ("gamma", "pi"):
         mean, var = _ar_moments(np.mean(x, axis=-1), delta, sigma_x)
-        return 0.5 * _gauss_exp_moment(mean, var / d) * (a - 0.5)
-    if config.kind == "mu":
-        # f_y reads the slice before its own time: x_prev at delta 0
-        if delta <= 1:
-            return outcome_mean(config, None, x_prev if delta == 0 else x, a)
-        c = 0.5 * (a - 0.5) / d
-        mean, var = _ar_moments(x, delta - 1, sigma_x)
-        g = _gh_expect(lambda z: np.exp(c * np.cos(z) * np.cos(np.cos(z))), mean, math.sqrt(var))
-        return np.prod(g, axis=-1)
+        return 0.5 * _gauss_exp_moment(mean, var / d)
     # kind "n"
     if delta == 0:
-        return outcome_mean(config, x, x_prev, a)
+        return _outcome_level(config, x)
     # exp(-S^2) = E[cos(2 S U)] for U ~ N(0, 1/2), and for fixed U the
     # expectation of exp(2i U S), S = mean_p cos Z_p, factorises over p.
     # The outer sum over U runs one node at a time to bound memory, and
@@ -283,15 +297,19 @@ def expected_outcome(config: DgpConfig, x, x_prev, a, delta: int):
     for u, w in zip(_GH_NODES[half:], 2.0 * _GH_WEIGHTS[half:]):
         phi = _gh_expect(lambda z: np.exp((2j * u / d) * np.cos(z)), mean, math.sqrt(var))
         moment += w * np.prod(phi, axis=-1).real
-    return 0.5 * moment / math.sqrt(math.pi) * (a - 0.5)
+    return 0.5 * moment / math.sqrt(math.pi)
 
 
 def exact_cate(config: DgpConfig, state: State, plan_a: InterventionPlan, plan_b: InterventionPlan):
     """Closed-form CATE of plan_a over plan_b at each state: the difference
-    of the two plans' expected final outcomes."""
-    tau = plan_a.horizon
-    return (expected_outcome(config, state.x, state.x_prev, plan_a.values[-1], tau)
-            - expected_outcome(config, state.x, state.x_prev, plan_b.values[-1], tau))
+    of the two plans' expected final outcomes. Where the outcome is linear
+    in the arm, the arm-free part is computed once for both plans."""
+    tau, a, b = plan_a.horizon, plan_a.values[-1], plan_b.values[-1]
+    if config.kind == "mu":
+        return (expected_outcome(config, state.x, state.x_prev, a, tau)
+                - expected_outcome(config, state.x, state.x_prev, b, tau))
+    level = _expected_level(config, state.x, tau)
+    return level * (a - 0.5) - level * (b - 0.5)
 
 
 def test_set_truth(config: DgpConfig, data: Dataset, anchor: int, plan_a, plan_b, m=10000, seed=0):

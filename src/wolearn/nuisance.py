@@ -16,10 +16,15 @@ the nuisance split and later evaluated on held-out data:
                 the expectation runs over the observational law). W at the
                 final stage is identically 1.
 
-`fit_nuisances` fits a whole cell: the propensity stack once, then each
-plan's responses and tail weights. A treatment that is constant at a plan
-step, or a plan step that fewer than MIN_FIT_UNITS units take, raises
-ParameterError before any network trains.
+`fit_nuisances` fits a whole cell in three `backbone.fit_stack` families:
+the propensities of every time as one stack that the plans share, the
+plans' response recursions in lockstep (one stack per time j, whose members
+are the plans' regressions on their own arms' subsamples, of different n),
+and every plan's tail weights as one stack. The response and tail-weight
+fits return one mapping {(k, j): network} over plan index k and time j;
+each network is bitwise the one a lone fit with its seed gives. A treatment
+that is constant at a plan step, or a plan step that fewer than
+MIN_FIT_UNITS units take, raises ParameterError before any network trains.
 
 Propensities are floored at evaluation time (never during fitting) and the
 overlap weight is omega_t = pi_t * W_{t+1}.
@@ -143,57 +148,65 @@ def fit_propensity_models(data: Dataset, t: int, tau: int, hp=backbone.Hyperpara
     return dict(zip(times, backbone.fit_stack(problems, hps)))
 
 
-def fit_response_models(data: Dataset, plan: InterventionPlan, hp=backbone.Hyperparameters(),
-                        window="full", seed=0):
-    """Backward recursion of plan-conditional responses. Returns
-    ({j: regressor}, provenance log of per-stage subsample sizes). A step
-    with fewer than MIN_FIT_UNITS units taking the plan's treatment raises
-    ParameterError before any network trains."""
-    _check_support(data, plan)
-    t, tau = plan.start, plan.horizon
-    models = {}
-    log = []
-    target = data.y[:, t + tau].copy()
-    for j in range(t + tau, t - 1, -1):
-        a_j = plan.values[j - t]
+def fit_response_models(data: Dataset, plans, hp=backbone.Hyperparameters(), window="full",
+                        seed=0):
+    """The plans' backward recursions of plan-conditional responses, run in
+    lockstep: at each time j one stack holds every plan whose span covers j,
+    each member fitted on the units taking that plan's treatment at j, so
+    the members' n differ. Returns ({(k, j): regressor} for plan index k,
+    provenance log of per-stage subsample sizes). A step with fewer than
+    MIN_FIT_UNITS units taking a plan's treatment raises ParameterError
+    before any network trains."""
+    for plan in plans:
+        _check_support(data, plan)
+    models, log = {}, []
+    targets = [data.y[:, plan.end] for plan in plans]
+    for j in sorted({j for plan in plans for j in range(plan.start, plan.end + 1)}, reverse=True):
+        members = [k for k, plan in enumerate(plans) if plan.start <= j <= plan.end]
         feats = feature_matrix(data, j, window=window)
-        sel = data.a[:, j] == a_j
-        log.append({"time": j, "arm": a_j, "n_fit": int(sel.sum())})
-        models[j] = backbone.fit_regressor(
-            feats[sel], target[sel], hp=replace(hp, seed=_child_seed(seed, 0xB, j))
-        )
-        if j > t:
-            target = models[j].predict(feats)  # next stage regresses this prediction
+        problems = []
+        for k in members:
+            a_j = plans[k].values[j - plans[k].start]
+            sel = data.a[:, j] == a_j
+            log.append({"plan": k, "time": j, "arm": a_j, "n_fit": int(sel.sum())})
+            problems.append(backbone.regression_problem(feats[sel], targets[k][sel]))
+        hp_j = replace(hp, seed=_child_seed(seed, 0xB, j))
+        for k, model in zip(members, backbone.fit_stack(problems, [hp_j] * len(members))):
+            models[k, j] = model
+            if j > plans[k].start:
+                targets[k] = model.predict(feats)  # the plan's next stage regresses this
     return models, log
 
 
-def fit_weight_models(data: Dataset, plan: InterventionPlan, propensity_models,
-                      hp=backbone.Hyperparameters(), window="full", seed=0):
-    """Tail-weight regressors {j: model of W_{j+1}(H_j)} for j < t+tau.
+def fit_weight_models(data: Dataset, plans, propensity_models, hp=backbone.Hyperparameters(),
+                      window="full", seed=0):
+    """Tail-weight regressors {(k, j): model of W_{j+1}(H_j)} for each plan
+    index k and each j before the plan's last step, trained as one stack.
 
-    The target for time j is the realized product of fitted plan
+    The target for time j is the realized product of the plan's fitted
     propensities over k = j+1 .. t+tau; regression against features(H_j)
-    recovers its conditional expectation under the observational law. The
-    steps train as one stack.
+    recovers its conditional expectation under the observational law.
     """
-    t, tau = plan.start, plan.horizon
-    if tau == 0:
+    keys = [(k, j) for k, plan in enumerate(plans) for j in range(plan.start, plan.end)]
+    if not keys:
         return {}
-    feats = {j: feature_matrix(data, j, window=window) for j in range(t, t + tau + 1)}
-    pi_hat = np.column_stack([plan.propensity(j, propensity_models[j].predict(f))
-                              for j, f in feats.items()])
-    times = range(t, t + tau)
-    problems = [backbone.regression_problem(feats[j], np.prod(pi_hat[:, j - t + 1 :], axis=1))
-                for j in times]
-    hps = [replace(hp, seed=_child_seed(seed, 0xC, j)) for j in times]
-    return dict(zip(times, backbone.fit_stack(problems, hps)))
+    times = range(min(p.start for p in plans), max(p.end for p in plans) + 1)
+    feats = {j: feature_matrix(data, j, window=window) for j in times}
+    p1 = {j: propensity_models[j].predict(f) for j, f in feats.items()}  # P(A_j = 1 | H_j)
+    pi_hat = [np.column_stack([plan.propensity(j, p1[j]) for j in range(plan.start, plan.end + 1)])
+              for plan in plans]
+    problems = [backbone.regression_problem(
+        feats[j], np.prod(pi_hat[k][:, j - plans[k].start + 1 :], axis=1)) for k, j in keys]
+    hps = [replace(hp, seed=_child_seed(seed, 0xC, j)) for _, j in keys]
+    return dict(zip(keys, backbone.fit_stack(problems, hps)))
 
 
 def fit_nuisances(data: Dataset, plans, hp=backbone.Hyperparameters(), window="full",
                   seed=0) -> list:
     """Fit a cell's nuisances on the given (nuisance) split: one propensity
-    stack that the plans share, then each plan's response recursion and
-    tail-weight stack. Returns one FittedNuisances per plan.
+    stack that the plans share, the plans' response recursions in lockstep
+    and one stack of every plan's tail weights. Returns one FittedNuisances
+    per plan.
 
     Every plan's support is checked before any network trains, so a plan
     step that fewer than MIN_FIT_UNITS units take, or a constant treatment,
@@ -203,12 +216,13 @@ def fit_nuisances(data: Dataset, plans, hp=backbone.Hyperparameters(), window="f
         _check_support(data, plan)
     t, end = min(p.start for p in plans), max(p.end for p in plans)
     propensity_models = fit_propensity_models(data, t, end - t, hp=hp, window=window, seed=seed)
+    responses, _ = fit_response_models(data, plans, hp=hp, window=window, seed=seed)
+    weights = fit_weight_models(data, plans, propensity_models, hp=hp, window=window, seed=seed)
     return [FittedNuisances(plan, propensity_models,
-                            fit_response_models(data, plan, hp=hp, window=window, seed=seed)[0],
-                            fit_weight_models(data, plan, propensity_models, hp=hp,
-                                              window=window, seed=seed),
+                            {j: responses[k, j] for j in range(plan.start, plan.end + 1)},
+                            {j: weights[k, j] for j in range(plan.start, plan.end)},
                             window=window)
-            for plan in plans]
+            for k, plan in enumerate(plans)]
 
 
 class OracleBackedNuisances:

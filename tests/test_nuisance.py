@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from wolearn.backbone import Hyperparameters
-from wolearn.core import ParameterError, always_treat, never_treat
+from wolearn.backbone import Hyperparameters, fit_regressor
+from wolearn.core import ParameterError, always_treat, feature_matrix, never_treat
 from wolearn.dgp import (DgpConfig, OracleNuisanceSet, State, conditional_rollout, propensity_logit,
                          sigmoid, simulate)
 from wolearn.nuisance import (
@@ -24,6 +26,13 @@ def _setup(kind="gamma", tau=1, n=600, seed=0):
     data = simulate(cfg, seed=seed)
     t = cfg.T - 1 - tau
     return cfg, data, t, always_treat(t, tau)
+
+
+def _assert_same_network(got, want):
+    for (w1, b1), (w2, b2) in zip(got.params, want.params, strict=True):
+        np.testing.assert_array_equal(w1, w2)
+        np.testing.assert_array_equal(b1, b2)
+    assert (got.y_mean, got.y_scale) == (want.y_mean, want.y_scale)
 
 
 class TestChildSeed:
@@ -115,8 +124,6 @@ class TestFittedNuisances:
     def test_propensity_fit_tracks_truth(self):
         cfg, data, t, plan = _setup(n=3000)
         models = fit_propensity_models(data, t, 1, hp=FAST, window=1)
-        from wolearn.core import feature_matrix
-
         feats = feature_matrix(data, t, window=1)
         st_ = State.from_dataset(data, t)
         truth = sigmoid(propensity_logit(cfg, st_.x, st_.y_prev, st_.a_prev))
@@ -125,26 +132,22 @@ class TestFittedNuisances:
 
     def test_response_fit_tracks_truth(self):
         cfg, data, t, plan = _setup(n=3000)
-        models, log = fit_response_models(data, plan, hp=FAST, window=1)
+        models, log = fit_response_models(data, (plan,), hp=FAST, window=1)
         assert [entry["time"] for entry in log] == [t + 1, t]
-        from wolearn.core import feature_matrix
-
         feats = feature_matrix(data, t, window=1)
         st_ = State.from_dataset(data, t)
         truth = OracleNuisanceSet(cfg, plan).response_exact(t, st_)
-        assert np.sqrt(np.mean((models[t].predict(feats) - truth) ** 2)) < 0.1
+        assert np.sqrt(np.mean((models[0, t].predict(feats) - truth) ** 2)) < 0.1
 
     def test_weight_fit_tracks_truth(self):
         cfg, data, t, plan = _setup(n=3000)
         prop = fit_propensity_models(data, t, 1, hp=FAST, window=1)
-        wmods = fit_weight_models(data, plan, prop, hp=FAST, window=1)
-        assert set(wmods) == {t}
-        from wolearn.core import feature_matrix
-
+        wmods = fit_weight_models(data, (plan,), prop, hp=FAST, window=1)
+        assert set(wmods) == {(0, t)}
         feats = feature_matrix(data, t, window=1)
         st_ = State.from_dataset(data, t)
         truth = OracleNuisanceSet(cfg, plan).tail_weight(t, st_)
-        assert np.sqrt(np.mean((wmods[t].predict(feats) - truth) ** 2)) < 0.1
+        assert np.sqrt(np.mean((wmods[0, t].predict(feats) - truth) ** 2)) < 0.1
 
     def test_evaluation_shapes_and_floor(self):
         cfg, data, t, plan = _setup(n=300)
@@ -162,6 +165,33 @@ class TestFittedNuisances:
         assert na.propensity_models is nb.propensity_models
         ev_a, ev_b = na.evaluate(data, floor=0.0), nb.evaluate(data, floor=0.0)
         np.testing.assert_allclose(ev_a.pi + ev_b.pi, 1.0)
+
+    def test_lockstep_fits_equal_lone_fits(self):
+        # Both plans' responses train as one stack per time, with the arms'
+        # subsamples of different n, and every tail weight in one stack;
+        # each network is bitwise the lone fit of its own problem and seed.
+        cfg, data, t, plan = _setup(tau=2, n=300)
+        plans = (plan, never_treat(t, 2))
+        hp = Hyperparameters(hidden=(6,), epochs=3)
+        fitted = fit_nuisances(data, plans, hp=hp, window=1, seed=7)
+        feats = {j: feature_matrix(data, j, window=1) for j in range(t, t + 3)}
+        sizes = set()
+        for plan_, nu in zip(plans, fitted):
+            target = data.y[:, t + 2]
+            for j in (t + 2, t + 1, t):
+                sel = data.a[:, j] == plan_.values[j - t]
+                sizes.add(int(sel.sum()))
+                lone = fit_regressor(feats[j][sel], target[sel],
+                                     replace(hp, seed=_child_seed(7, 0xB, j)))
+                _assert_same_network(nu.response_models[j], lone)
+                target = lone.predict(feats[j])
+            pi_hat = np.column_stack([plan_.propensity(j, nu.propensity_models[j].predict(feats[j]))
+                                      for j in range(t, t + 3)])
+            for j in (t, t + 1):
+                lone = fit_regressor(feats[j], np.prod(pi_hat[:, j - t + 1 :], axis=1),
+                                     replace(hp, seed=_child_seed(7, 0xC, j)))
+                _assert_same_network(nu.weight_models[j], lone)
+        assert len(sizes) == 6  # every response fit has its own n
 
     def test_constant_treatment_rejected(self, no_training):
         cfg, data, t, plan = _setup(n=30)
@@ -181,4 +211,4 @@ class TestFittedNuisances:
         data.a[: MIN_FIT_UNITS - 1, t + 1] = 1
         match = f"only {MIN_FIT_UNITS - 1} units take treatment 1 at time {t + 1};"
         with pytest.raises(ParameterError, match=match):
-            fit_response_models(data, plan, hp=FAST, window=1)
+            fit_response_models(data, (plan,), hp=FAST, window=1)

@@ -264,17 +264,63 @@ class TestClosedForms:
         np.testing.assert_allclose(truth, ex)
 
     def test_test_set_truth_matches_monte_carlo(self):
-        # Kinds n and mu past tau = 1 integrate over the covariate path by
-        # quadrature; the per-history Monte Carlo oracle must agree.
-        for kind, tau in [("n", 1), ("n", 3), ("mu", 3)]:
-            cfg = DgpConfig.make(kind, n_train=3, tau=tau)
+        # Kind n's truth is a series per covariate dimension, and kind mu's
+        # past tau = 1 a quadrature; the per-history Monte Carlo oracle must
+        # agree. At d_x = 1 the series' Bessel arguments are largest.
+        for kind, tau, d_x in [("n", 1, 5), ("n", 3, 5), ("mu", 3, 5), ("n", 1, 1),
+                               ("n", 2, 1)]:
+            cfg = DgpConfig.make(kind, n_train=3, tau=tau, d_x=d_x)
             data = simulate(cfg, seed=7)
             t = cfg.eval_anchor
             pa, pb = always_treat(t, tau), never_treat(t, tau)
             truth = truth_for_test_set(cfg, data, t, pa, pb)
             for i in range(3):
                 mc, se = ground_truth_cate(cfg, data.subset([i]), t, pa, pb, m=40000, seed=i)
-                assert abs(truth[i] - mc) < 4.0 * se, (kind, tau, i)
+                assert abs(truth[i] - mc) < 4.0 * se, (kind, tau, d_x, i)
+
+
+def _nested_level(x, delta, n_nodes=200):
+    """Kind n's level 0.5 E[exp(-S^2)], S = mean_p cos X_{j+delta,p}, by
+    nested Gauss-Hermite rules: exp(-S^2) = E[cos(2 U S)], U ~ N(0, 1/2),
+    outside, and E[exp(2i U cos Z_p / d)] per dimension inside, `n_nodes`
+    nodes each."""
+    from numpy.polynomial.hermite import hermgauss
+
+    nodes, weights = hermgauss(n_nodes)
+    d = x.shape[-1]
+    var = DgpConfig.sigma_x**2 * sum(0.25**i for i in range(delta))
+    z = 0.5**delta * x[..., None] + math.sqrt(2.0 * var) * nodes
+    moment = 0.0
+    for u, w in zip(nodes, weights):
+        phi = (np.exp((2j * u / d) * np.cos(z)) * weights).sum(axis=-1) / math.sqrt(math.pi)
+        moment += w * np.prod(phi, axis=-1).real
+    return 0.5 * moment / math.sqrt(math.pi)
+
+
+class TestKindNLevel:
+    @pytest.mark.parametrize("d_x", [1, 2, 5, 20])
+    @pytest.mark.parametrize("delta", [1, 2, 3, 7])
+    def test_level_matches_fine_nested_quadrature(self, d_x, delta):
+        # At d_x = 1 the inner integrand oscillates fastest (a = 2u/d_x
+        # reaches 21), where a 64-node inner rule is off by up to 6e-10;
+        # the series is exact to rounding.
+        cfg = DgpConfig.make("n", d_x=d_x)
+        x = np.random.default_rng(d_x * 10 + delta).normal(0.0, 2.0, size=(6, d_x))
+        level = dgp._expected_level(cfg, x, delta)
+        assert np.abs(level - _nested_level(x, delta)).max() <= 1e-13
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), d_x=st.integers(1, 20), delta=st.integers(1, 7))
+    def test_level_bounded_and_symmetric(self, data, d_x, delta):
+        # 0.5 E[exp(-S^2)] lies in (0, 0.5]; S's law is unchanged when X
+        # becomes -X or the dimensions are relabelled.
+        cfg = DgpConfig.make("n", d_x=d_x)
+        x = np.array(data.draw(st.lists(st.floats(-6, 6), min_size=d_x, max_size=d_x)))
+        order = data.draw(st.permutations(range(d_x)))
+        level = dgp._expected_level(cfg, x, delta)
+        assert 0.0 < level <= 0.5
+        assert abs(dgp._expected_level(cfg, -x, delta) - level) <= 1e-15
+        assert abs(dgp._expected_level(cfg, x[list(order)], delta) - level) <= 1e-15
 
 
 class TestOracleNuisances:

@@ -10,11 +10,11 @@ stable.
 One trainer fits a stack of K networks in lockstep: their parameters live
 in one (K, P) array with per-layer views into it, the forward and backward
 passes are stacked matmuls, and Adam updates the array in place. The
-members share d, the loss and every hyperparameter but the seed; their
-row counts n_k may differ. The only per-task input is the per-sample loss
-gradient. Every network draws its initialization, epoch permutations and
-dropout masks from its own seed, so its parameters are bitwise the same
-whether it trains alone or in a stack.
+members share d, the loss and one Hyperparameters, and each has its own
+seed; their row counts n_k may differ. The only per-task input is the
+per-sample loss gradient. Every network draws its initialization, epoch
+permutations and dropout masks from its seed, so its parameters are bitwise
+the same whether it trains alone or in a stack.
 
 Global step s is the s-th minibatch and Adam step of every member that has
 one left; members are ordered by their number of steps, so those still
@@ -41,7 +41,7 @@ n or the epoch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -60,19 +60,17 @@ BLOCK_BATCHES = 8
 
 @dataclass(frozen=True)
 class Hyperparameters:
-    """Training settings; optimization is Adam with the module's constants.
-    The minibatch size is a constant of the trainer, not a setting."""
+    """Training settings for Adam with the module's constants. The minibatch
+    size is a constant of the trainer and the seed an argument of each fit."""
 
     hidden: tuple = (20,)
     learning_rate: float = 0.001
     epochs: int = 100
     dropout: float = 0.1
-    seed: int = 0
     batch_size: ClassVar[int] = 64
 
     def __post_init__(self):
         object.__setattr__(self, "epochs", check_int(self.epochs, "epochs", 1))
-        object.__setattr__(self, "seed", check_int(self.seed, "seed", 0))
         object.__setattr__(self, "hidden",
                            tuple(check_int(h, "hidden width", 1) for h in self.hidden))
         if check_real(self.learning_rate, "learning_rate") <= 0:
@@ -300,18 +298,17 @@ def _step_buffers(k_nets, rows, dims):
     return outs, work
 
 
-def _train(problems, hps):
+def _train(problems, hp, seeds):
     """Minibatch Adam on a stack of problems in lockstep, as the module
-    docstring describes. Members may differ in n; they share d, the loss and
-    every hyperparameter but the seed. Returns (parameters (K, P) in the
+    docstring describes; member k trains with `hp` and seeds[k]. Members may
+    differ in n and share d and the loss. Returns (parameters (K, P) in the
     order of `problems`, layer dims)."""
-    if not problems or len(problems) != len(hps):
-        raise ParameterError("a stack needs one Hyperparameters per problem")
-    d, loss_grad, hp = problems[0].x.shape[1], problems[0].loss_grad, hps[0]
-    for p, h in zip(problems, hps):
-        if p.x.shape[1] != d or p.loss_grad is not loss_grad or replace(h, seed=hp.seed) != hp:
-            raise ParameterError("stacked fits must share d, the loss and every "
-                                 "hyperparameter but the seed")
+    if not problems or len(problems) != len(seeds):
+        raise ParameterError("a stack needs one seed per problem")
+    seeds = [check_int(seed, "seed", 0) for seed in seeds]
+    d, loss_grad = problems[0].x.shape[1], problems[0].loss_grad
+    if any(p.x.shape[1] != d or p.loss_grad is not loss_grad for p in problems):
+        raise ParameterError("stacked fits must share d and the loss")
     batch, dropout, hidden = hp.batch_size, hp.dropout, hp.hidden
     # most rows first, so the members still training are a prefix of the stack
     rank = sorted(range(len(problems)), key=lambda k: -problems[k].x.shape[0])
@@ -321,7 +318,7 @@ def _train(problems, hps):
     ends = [hp.epochs * s for s in per_epoch]  # each member's last step, non-increasing
     dims = [d, *hidden, 1]
     k_nets = len(problems)
-    rngs = [np.random.default_rng(np.random.SeedSequence((hps[k].seed, 0xB0))) for k in rank]
+    rngs = [np.random.default_rng(np.random.SeedSequence((seeds[k], 0xB0))) for k in rank]
     params = np.zeros((k_nets, _size(dims)))
     for row, rng in zip(params, rngs):
         _init_params(row, dims, rng)
@@ -430,21 +427,22 @@ def _train(problems, hps):
     return params[np.argsort(rank)], dims
 
 
-def fit_stack(problems, hps) -> list:
-    """Train K same-shape problems in lockstep: the same n, d and loss, and
-    Hyperparameters that differ at most in the seed. Returns one Network per
-    problem, each bitwise equal to fitting that problem alone."""
-    params, dims = _train(problems, hps)
+def fit_stack(problems, hp: Hyperparameters, seeds) -> list:
+    """Train K problems of the same d and loss in lockstep, all with `hp`
+    and problem k with seeds[k]; their n may differ. Returns one Network per
+    problem, each bitwise equal to fitting that problem alone with its seed."""
+    params, dims = _train(problems, hp, seeds)
     return [Network([(w.copy(), b.copy()) for w, b in _layers(row, dims)],
                     p.x_std, p.task, p.y_mean, p.y_scale)
             for row, p in zip(params, problems)]
 
 
-def fit_regressor(x, y, hp: Hyperparameters = Hyperparameters()) -> Network:
-    return fit_stack([regression_problem(x, y)], [hp])[0]
+def fit_regressor(x, y, hp: Hyperparameters = Hyperparameters(), seed=0) -> Network:
+    return fit_stack([regression_problem(x, y)], hp, [seed])[0]
 
 
-def fit_weighted_quadratic(x, weights, linear, hp: Hyperparameters = Hyperparameters()) -> Network:
+def fit_weighted_quadratic(x, weights, linear, hp: Hyperparameters = Hyperparameters(),
+                           seed=0) -> Network:
     """Minimize (1/sum_i w_i) sum_i [w_i g(x_i)^2 - 2 q_i g(x_i)].
 
     This is weighted least squares with weights w and implied targets q / w,
@@ -452,11 +450,11 @@ def fit_weighted_quadratic(x, weights, linear, hp: Hyperparameters = Hyperparame
     moderate, the ratio explodes while the quadratic coefficients stay
     bounded, so optimizing the product form directly is numerically stable.
     """
-    return fit_stack([quadratic_problem(x, weights, linear)], [hp])[0]
+    return fit_stack([quadratic_problem(x, weights, linear)], hp, [seed])[0]
 
 
-def fit_classifier(x, y, hp: Hyperparameters = Hyperparameters()) -> Network:
-    return fit_stack([classification_problem(x, y)], [hp])[0]
+def fit_classifier(x, y, hp: Hyperparameters = Hyperparameters(), seed=0) -> Network:
+    return fit_stack([classification_problem(x, y)], hp, [seed])[0]
 
 
 def gradient_check(seed: int = 0, task: str = "regression", eps: float = 1e-5) -> float:

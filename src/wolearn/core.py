@@ -91,11 +91,32 @@ def never_treat(start: int, tau: int) -> InterventionPlan:
     return InterventionPlan(start, (0,) * (tau + 1))
 
 
+def _check_ids(ids, n) -> np.ndarray:
+    """Unit ids as int64 when they are n distinct integral values (not
+    bools); otherwise ParameterError naming ids."""
+    try:
+        ids = np.asarray(ids)
+    except ValueError as exc:  # ragged, e.g. a list among ints
+        raise ParameterError(f"ids must have shape ({n},): {exc}") from exc
+    if ids.shape != (n,):
+        raise ParameterError(f"ids must have shape ({n},), not {ids.shape}")
+    # an integral float is its int, as in check_int; NaN and +-inf are not
+    if ids.dtype.kind == "f" and (np.abs(ids) < 2.0**63).all() and (ids == np.floor(ids)).all():
+        ids = ids.astype(np.int64)
+    if ids.dtype.kind not in "iu":
+        raise ParameterError(f"ids must be integers, not {ids.dtype} values")
+    ordered = np.sort(ids)
+    if (ordered[1:] == ordered[:-1]).any():
+        raise ParameterError("ids must be distinct")
+    return ids.astype(np.int64, copy=False)
+
+
 class Dataset:
     """A panel of trajectories sharing T and d_x, stored stacked for speed.
 
-    x: (n, T, d_x), a: (n, T), y: (n, T), ids: (n,). NaN or +-inf in x or y
-    and treatments outside {0, 1} raise ParameterError.
+    x: (n, T, d_x), a: (n, T), y: (n, T), ids: (n,), distinct integers
+    (default 0 .. n-1). NaN or +-inf in x or y, treatments outside {0, 1},
+    and ids of another shape, non-integral or repeated raise ParameterError.
     """
 
     def __init__(self, x, a, y, ids=None, meta=None):
@@ -109,7 +130,7 @@ class Dataset:
         if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
             raise ParameterError("missing or infinite entries are not supported")
         self.a = np.asarray(a, dtype=np.int64)
-        self.ids = np.arange(len(self.y)) if ids is None else np.asarray(ids, dtype=np.int64)
+        self.ids = np.arange(len(self.y)) if ids is None else _check_ids(ids, len(self.y))
         self.meta = dict(meta or {})
 
     @property

@@ -26,8 +26,9 @@ are independent cross-checks of all of these.
 `conditional_rollout` completes m copies of one unit's history under the
 observational law, as the per-history checks of `verify` need.
 `DgpConfig` rejects an unknown kind, unknown settings, non-integral or
-below-1 sizes, a tau outside [0, T-1] and a gamma that is not a finite
-number; the seed is an argument of every draw, never a setting, and must
+below-1 sizes, a tau outside [0, T-1], a gamma that is not a finite
+number, and a gamma other than 1 for a kind other than gamma, which never
+reads it; the seed is an argument of every draw, never a setting, and must
 be a non-negative integer. The noise scales sigma_x and sigma_y are
 constants of every kind, not settings. Every fault raises ParameterError
 naming the bad argument.
@@ -78,7 +79,9 @@ class DgpConfig:
         for name in ("T", "d_x", "n_train", "n_test"):
             object.__setattr__(self, name, check_int(getattr(self, name), name, 1))
         object.__setattr__(self, "tau", check_int(self.tau, "tau"))
-        check_real(self.gamma, "gamma")
+        if check_real(self.gamma, "gamma") != 1.0 and self.kind != "gamma":
+            raise ParameterError(f"gamma={self.gamma} has no effect on kind {self.kind!r}; "
+                                 "only kind 'gamma' reads it")
         if not 0 <= self.tau <= self.T - 1:
             raise ParameterError(f"tau={self.tau} outside [0, T-1={self.T - 1}]")
 

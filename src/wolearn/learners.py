@@ -118,7 +118,6 @@ def _with_plan(feats: np.ndarray, plan: InterventionPlan) -> np.ndarray:
 def train_wo(cell: Cell, hp=backbone.Hyperparameters(),
              pseudo_config: PseudoConfig = PseudoConfig(), seed=0) -> CateModel:
     """Second stage of the overlap-weighted orthogonal learner."""
-    hp = replace(hp, dropout=STAGE2_DROPOUT, seed=_child_seed(seed, 0x10, 0))
     po = cate_pseudo(cell.ev_a, cell.ev_b, cell.y_final)
     weights = po.rho
     linear = risk_linear_term(po)
@@ -126,7 +125,9 @@ def train_wo(cell: Cell, hp=backbone.Hyperparameters(),
         keep = po.rho > 0.0
         weights = np.where(keep, po.rho, 0.0)
         linear = np.where(keep, linear, 0.0)
-    net = backbone.fit_weighted_quadratic(cell.stage2_features, weights, linear, hp=hp)
+    net = backbone.fit_weighted_quadratic(cell.stage2_features, weights, linear,
+                                          hp=replace(hp, dropout=STAGE2_DROPOUT),
+                                          seed=_child_seed(seed, 0x10, 0))
     return CateModel("wo", net, cell.plan_a, cell.plan_b, cell.window)
 
 
@@ -148,8 +149,8 @@ def train_baseline(cell: Cell, name: str, hp=backbone.Hyperparameters(), seed=0)
         raise ParameterError(f"unknown learner {name!r}")
     # the no-floor ablation changes the propensities only, not the seed
     index = LEARNERS.index("ipw" if name == "ipw_nofloor" else name)
-    net = backbone.fit_regressor(cell.stage2_features, target,
-                                 hp=replace(hp, seed=_child_seed(seed, 0x11, index)))
+    net = backbone.fit_regressor(cell.stage2_features, target, hp=hp,
+                                 seed=_child_seed(seed, 0x11, index))
     return CateModel(name, net, cell.plan_a, cell.plan_b, cell.window)
 
 
@@ -159,8 +160,8 @@ def _train_ha(cell: Cell, hp, seed) -> CateModel:
     t, end = cell.anchor, cell.plan_a.end
     feats = feature_matrix(cell.data, t, window=cell.window)
     feats = np.concatenate([feats, cell.data.a[:, t : end + 1].astype(float)], axis=1)
-    net = backbone.fit_regressor(feats, cell.data.y[:, end],
-                                 hp=replace(hp, seed=_child_seed(seed, 0x12, 0)))
+    net = backbone.fit_regressor(feats, cell.data.y[:, end], hp=hp,
+                                 seed=_child_seed(seed, 0x12, 0))
     return CateModel("ha", net, cell.plan_a, cell.plan_b, cell.window, plan_feature=True)
 
 

@@ -144,8 +144,8 @@ def fit_propensity_models(data: Dataset, t: int, tau: int, hp=backbone.Hyperpara
                                  "its propensity is not identified")
         problems.append(backbone.classification_problem(feature_matrix(data, j, window=window),
                                                         labels))
-    hps = [replace(hp, seed=_child_seed(seed, 0xA, j)) for j in times]
-    return dict(zip(times, backbone.fit_stack(problems, hps)))
+    seeds = [_child_seed(seed, 0xA, j) for j in times]
+    return dict(zip(times, backbone.fit_stack(problems, hp, seeds)))
 
 
 def fit_response_models(data: Dataset, plans, hp=backbone.Hyperparameters(), window="full",
@@ -170,8 +170,8 @@ def fit_response_models(data: Dataset, plans, hp=backbone.Hyperparameters(), win
             sel = data.a[:, j] == a_j
             log.append({"plan": k, "time": j, "arm": a_j, "n_fit": int(sel.sum())})
             problems.append(backbone.regression_problem(feats[sel], targets[k][sel]))
-        hp_j = replace(hp, seed=_child_seed(seed, 0xB, j))
-        for k, model in zip(members, backbone.fit_stack(problems, [hp_j] * len(members))):
+        seeds = [_child_seed(seed, 0xB, j)] * len(members)
+        for k, model in zip(members, backbone.fit_stack(problems, hp, seeds)):
             models[k, j] = model
             if j > plans[k].start:
                 targets[k] = model.predict(feats)  # the plan's next stage regresses this
@@ -197,8 +197,8 @@ def fit_weight_models(data: Dataset, plans, propensity_models, hp=backbone.Hyper
               for plan in plans]
     problems = [backbone.regression_problem(
         feats[j], np.prod(pi_hat[k][:, j - plans[k].start + 1 :], axis=1)) for k, j in keys]
-    hps = [replace(hp, seed=_child_seed(seed, 0xC, j)) for _, j in keys]
-    return dict(zip(keys, backbone.fit_stack(problems, hps)))
+    seeds = [_child_seed(seed, 0xC, j) for _, j in keys]
+    return dict(zip(keys, backbone.fit_stack(problems, hp, seeds)))
 
 
 def fit_nuisances(data: Dataset, plans, hp=backbone.Hyperparameters(), window="full",

@@ -1,4 +1,4 @@
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -59,8 +59,13 @@ class TestRegressor:
         p1 = fit_regressor(x, y, hp=FAST).predict(x)
         p2 = fit_regressor(x, y, hp=FAST).predict(x)
         np.testing.assert_array_equal(p1, p2)
-        p3 = fit_regressor(x, y, hp=Hyperparameters(hidden=(8,), epochs=60, seed=1)).predict(x)
+        p3 = fit_regressor(x, y, hp=FAST, seed=1).predict(x)
         assert not np.array_equal(p1, p3)
+
+    @pytest.mark.parametrize("seed", [1.5, -1, True])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ParameterError, match="seed"):
+            fit_regressor(np.zeros((5, 2)), np.zeros(5), seed=seed)
 
     def test_constant_target(self):
         # the target has no spread to standardize by, so its scale stays 1
@@ -85,9 +90,9 @@ class TestRegressor:
         rng = np.random.default_rng(12)
         x = rng.normal(size=(150, 3))
         y = x[:, 0] - 0.5 * x[:, 1] ** 2
-        hp = Hyperparameters(hidden=(6, 4), epochs=5, seed=3)
-        reg = fit_regressor(x, y, hp)
-        quad = fit_weighted_quadratic(x, np.ones(150), y, hp)
+        hp = Hyperparameters(hidden=(6, 4), epochs=5)
+        reg = fit_regressor(x, y, hp, seed=3)
+        quad = fit_weighted_quadratic(x, np.ones(150), y, hp, seed=3)
         for (w1, b1), (w2, b2) in zip(reg.params, quad.params, strict=True):
             np.testing.assert_array_equal(w1, w2)
             np.testing.assert_array_equal(b1, b2)
@@ -190,10 +195,10 @@ def _stack_inputs(ns, d=3):
     return xs, labels, targets, weights
 
 
-def _reference_fit(problem, hp):
+def _reference_fit(problem, hp, seed):
     """The per-network loop that the stacked trainer replaced: one array per
     layer weight and bias, Adam per array. Returns [W0, b0, W1, b1, ...]."""
-    rng = np.random.default_rng(np.random.SeedSequence((hp.seed, 0xB0)))
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB0)))
     dims = [problem.x.shape[1], *hp.hidden, 1]
     params = []
     for d_in, d_out in zip(dims[:-1], dims[1:]):
@@ -236,25 +241,25 @@ def _reference_fit(problem, hp):
     return params
 
 
-def _assert_stack_matches(loss, ns, hps):
-    """Each network of a stack whose member k has ns[k] rows is bitwise
-    equal to its lone fit and to `_reference_fit`."""
+def _assert_stack_matches(loss, ns, hp, seeds):
+    """Each network of a stack whose member k has ns[k] rows and seed
+    seeds[k] is bitwise equal to its lone fit and to `_reference_fit`."""
     xs, labels, targets, weights = _stack_inputs(ns)
     if loss == "classification":
         problems = [classification_problem(x, y) for x, y in zip(xs, labels)]
-        alone = [fit_classifier(x, y, hp=hp) for x, y, hp in zip(xs, labels, hps)]
+        alone = [fit_classifier(x, y, hp=hp, seed=s) for x, y, s in zip(xs, labels, seeds)]
     elif loss == "regression":
         problems = [regression_problem(x, y) for x, y in zip(xs, targets)]
-        alone = [fit_regressor(x, y, hp=hp) for x, y, hp in zip(xs, targets, hps)]
+        alone = [fit_regressor(x, y, hp=hp, seed=s) for x, y, s in zip(xs, targets, seeds)]
     else:
         problems = [quadratic_problem(x, w, q) for x, w, q in zip(xs, weights, targets)]
-        alone = [fit_weighted_quadratic(x, w, q, hp=hp)
-                 for x, w, q, hp in zip(xs, weights, targets, hps)]
-    for lone, problem, hp in zip(alone, problems, hps):
+        alone = [fit_weighted_quadratic(x, w, q, hp=hp, seed=s)
+                 for x, w, q, s in zip(xs, weights, targets, seeds)]
+    for lone, problem, seed in zip(alone, problems, seeds):
         flat = [a for layer in lone.params for a in layer]
-        for got, want in zip(flat, _reference_fit(problem, hp), strict=True):
+        for got, want in zip(flat, _reference_fit(problem, hp, seed), strict=True):
             np.testing.assert_array_equal(got, want)
-    stacked = fit_stack(problems, hps)
+    stacked = fit_stack(problems, hp, seeds)
     assert len(stacked) == len(ns)
     for lone, member, x in zip(alone, stacked, xs):
         for (w1, b1), (w2, b2) in zip(lone.params, member.params):
@@ -272,18 +277,16 @@ class TestStackedTraining:
     @pytest.mark.parametrize("dropout", [0.0, 0.9])
     @pytest.mark.parametrize("loss", LOSSES)
     def test_stack_members_equal_lone_fits(self, loss, dropout):
-        hps = [Hyperparameters(hidden=(6, 4), epochs=5, dropout=dropout, seed=s)
-               for s in (11, 12, 13)]
-        _assert_stack_matches(loss, [203] * 3, hps)
+        hp = Hyperparameters(hidden=(6, 4), epochs=5, dropout=dropout)
+        _assert_stack_matches(loss, [203] * 3, hp, [11, 12, 13])
 
     @pytest.mark.parametrize("loss", LOSSES)
     def test_block_boundaries(self, loss):
         # two full blocks of minibatches, then a short block whose last batch
         # is short; every block draws its own dropout uniforms
         n = 2 * BLOCK_BATCHES * Hyperparameters.batch_size + 70
-        hps = [Hyperparameters(hidden=(6, 4), epochs=2, dropout=0.9, seed=s)
-               for s in (11, 12, 13)]
-        _assert_stack_matches(loss, [n] * 3, hps)
+        hp = Hyperparameters(hidden=(6, 4), epochs=2, dropout=0.9)
+        _assert_stack_matches(loss, [n] * 3, hp, [11, 12, 13])
 
     # Members of different n: below one batch, below one block, two full
     # blocks and a short one, a multiple of the batch size, and two that
@@ -298,41 +301,50 @@ class TestStackedTraining:
         [30, 300, 2 * BLOCK_BATCHES * Hyperparameters.batch_size + 70, 128, 100, 120],
     ], ids=["shorter_n", "ragged"])
     def test_members_of_different_n_equal_lone_fits(self, loss, dropout, ns):
-        hps = [Hyperparameters(hidden=(6, 4), epochs=5, dropout=dropout, seed=11 + k)
-               for k in range(len(ns))]
-        _assert_stack_matches(loss, ns, hps)
+        hp = Hyperparameters(hidden=(6, 4), epochs=5, dropout=dropout)
+        _assert_stack_matches(loss, ns, hp, [11 + k for k in range(len(ns))])
 
     @settings(max_examples=15, deadline=None)
     @given(ns=st.lists(st.integers(1, 300), min_size=1, max_size=5),
            epochs=st.integers(1, 3), dropout=st.sampled_from([0.0, 0.5]))
     def test_any_sizes_equal_lone_fits(self, ns, epochs, dropout):
         xs, _, targets, _ = _stack_inputs(ns, d=2)
-        hps = [Hyperparameters(hidden=(3,), epochs=epochs, dropout=dropout, seed=k)
-               for k in range(len(ns))]
-        stacked = fit_stack([regression_problem(x, y) for x, y in zip(xs, targets)], hps)
-        for x, y, hp, member in zip(xs, targets, hps, stacked):
-            lone = fit_regressor(x, y, hp)
+        hp = Hyperparameters(hidden=(3,), epochs=epochs, dropout=dropout)
+        seeds = range(len(ns))
+        stacked = fit_stack([regression_problem(x, y) for x, y in zip(xs, targets)], hp, seeds)
+        for x, y, seed, member in zip(xs, targets, seeds, stacked):
+            lone = fit_regressor(x, y, hp, seed)
             for (w1, b1), (w2, b2) in zip(lone.params, member.params, strict=True):
                 np.testing.assert_array_equal(w1, w2)
                 np.testing.assert_array_equal(b1, b2)
 
     def test_mismatched_members_rejected(self):
-        # members may differ in n (see above), but in nothing else but the seed
+        # members may differ in n (see above) and the seed, but not in d or the loss
         xs, labels, targets, _ = _stack_inputs([40] * 3)
         hp = Hyperparameters(hidden=(4,), epochs=1)
         same = [regression_problem(x, y) for x, y in zip(xs[:2], targets[:2])]
         wider_d = regression_problem(np.hstack([xs[2], xs[2]]), targets[2])
         other_loss = classification_problem(xs[2], labels[2])
         for odd in (wider_d, other_loss):
-            with pytest.raises(ParameterError):
-                fit_stack([*same, odd], [hp] * 3)
-        for changed in (dict(dropout=0.5), dict(hidden=(5,)), dict(epochs=2)):
-            with pytest.raises(ParameterError):
-                fit_stack(same, [hp, replace(hp, **changed)])
+            with pytest.raises(ParameterError, match="share d and the loss"):
+                fit_stack([*same, odd], hp, [0, 1, 2])
         with pytest.raises(ParameterError):
-            fit_stack(same, [hp])
-        with pytest.raises(ParameterError):
-            fit_stack([], [])
+            fit_stack([], hp, [])
+
+    @pytest.mark.parametrize("seeds", [[0], [0, 1, 2], [0, 1.5], [0, -1], [True, 1]])
+    def test_bad_seeds_rejected(self, seeds):
+        # one integral, non-negative seed per member
+        xs, _, targets, _ = _stack_inputs([40] * 2)
+        problems = [regression_problem(x, y) for x, y in zip(xs, targets)]
+        with pytest.raises(ParameterError, match="seed"):
+            fit_stack(problems, Hyperparameters(hidden=(4,), epochs=1), seeds)
+
+    def test_integral_float_seeds_are_ints(self):
+        xs, _, targets, _ = _stack_inputs([40] * 2)
+        problems = [regression_problem(x, y) for x, y in zip(xs, targets)]
+        hp = Hyperparameters(hidden=(4,), epochs=1)
+        for a, b in zip(fit_stack(problems, hp, [3.0, 4.0]), fit_stack(problems, hp, [3, 4])):
+            np.testing.assert_array_equal(a.params[0][0], b.params[0][0])
 
 
 class TestNetworkIO:
@@ -358,8 +370,6 @@ class TestHyperparameters:
     @pytest.mark.parametrize("bad, match", [
         (dict(epochs=2.5), "epochs"),
         (dict(epochs=0), "epochs=0 must be at least 1"),
-        (dict(seed=1.5), "seed"),
-        (dict(seed=-1), "seed"),
         (dict(hidden=(2.5,)), "hidden"),
         (dict(hidden=(0,)), "hidden"),
     ])
@@ -381,10 +391,10 @@ class TestHyperparameters:
 
     def test_batch_size_is_a_constant(self):
         assert [f.name for f in fields(Hyperparameters)] == [
-            "hidden", "learning_rate", "epochs", "dropout", "seed"]
+            "hidden", "learning_rate", "epochs", "dropout"]
         assert Hyperparameters().batch_size == Hyperparameters.batch_size == 64
 
     def test_integral_floats_become_ints(self):
-        hp = Hyperparameters(hidden=(4.0,), epochs=2.0, seed=0.0)
-        assert (hp.hidden, hp.epochs, hp.seed) == ((4,), 2, 0)
-        assert all(type(v) is int for v in (*hp.hidden, hp.epochs, hp.seed))
+        hp = Hyperparameters(hidden=(4.0,), epochs=2.0)
+        assert (hp.hidden, hp.epochs) == ((4,), 2)
+        assert all(type(v) is int for v in (*hp.hidden, hp.epochs))

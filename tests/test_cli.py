@@ -97,6 +97,8 @@ class TestExperimentSpec:
         ({"seeds": "01"}, "seeds"),
         ({"axis": "tau", "grid": "13"}, "grid"),
         ({"learners": "ra"}, "learners"),
+        # kind n ignores gamma, so the sweep would score one cell twice
+        ({"kind": "n", "axis": "gamma", "grid": [2.0, 4.0]}, "gamma=2.0 .*kind 'n'"),
     ])
     def test_faults_fail_when_built(self, fault, match):
         with pytest.raises(ParameterError, match=match):

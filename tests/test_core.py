@@ -134,6 +134,39 @@ class TestDataset:
         with pytest.raises(ParameterError):
             Dataset(**arrays)
 
+    @pytest.mark.parametrize("ids, match", [
+        ([[0, 1], [2, 3], [4, 5]], "shape"),
+        ([[0, 1], 1, 2], "shape"),  # ragged
+        ([0.5, 1.5, 2.5], "integers"),  # used to be truncated to (0, 1, 2)
+        ([0, 1, np.nan], "integers"),
+        ([True, False, True], "integers"),
+        (["a", "b", "c"], "integers"),
+        ([4, 7, 4], "distinct"),  # used to fail in prepare_cell as overlapping splits
+    ])
+    def test_bad_ids_rejected(self, tmp_path, ids, match):
+        data = _toy_dataset(n=3)
+        with pytest.raises(ParameterError, match=f"ids must .*{match}"):
+            Dataset(data.x, data.a, data.y, ids=ids)
+        # the same ids read from a file, one per row
+        path = tmp_path / "panel.jsonl"
+        data.to_jsonl(path)
+        header, *lines = path.read_text().splitlines()
+        rows = [{**json.loads(line), "id": unit_id} for line, unit_id in zip(lines, ids)]
+        path.write_text("\n".join([header, *map(json.dumps, rows)]) + "\n")
+        with pytest.raises(ParameterError, match=f"ids must .*{match}"):
+            Dataset.from_jsonl(path)
+
+    def test_ids_of_another_length_rejected(self):
+        # split_dataset used to fail with a bare IndexError
+        data = _toy_dataset(n=5)
+        with pytest.raises(ParameterError, match=r"ids must have shape \(5,\)"):
+            Dataset(data.x, data.a, data.y, ids=[1, 2])
+
+    def test_integral_float_ids_become_ints(self):
+        data = _toy_dataset(n=3)
+        back = Dataset(data.x, data.a, data.y, ids=[7.0, 3.0, 5.0])
+        assert back.ids.dtype == np.int64 and back.ids.tolist() == [7, 3, 5]
+
     def test_jsonl_validates(self, tmp_path):
         data = _toy_dataset(n=2, T=3, d_x=1, seed=4)
         path = tmp_path / "panel.jsonl"

@@ -86,6 +86,14 @@ class TestConfig:
         with pytest.raises(ParameterError, match=name):
             DgpConfig.make("gamma", **fault)
 
+    @pytest.mark.parametrize("kind", ["pi", "mu", "n"])
+    def test_gamma_of_another_kind_rejected(self, kind):
+        # only kind gamma reads gamma: make("pi", gamma=4.0) used to simulate
+        # the panel of make("pi")
+        assert DgpConfig.make(kind, gamma=1.0) == DgpConfig.make(kind)
+        with pytest.raises(ParameterError, match=f"gamma=4.0 .*kind '{kind}'"):
+            DgpConfig.make(kind, gamma=4.0)
+
     def test_integral_sizes_become_ints(self):
         cfg = DgpConfig.make("gamma", T=5.0, n_train=np.int64(40))
         assert type(cfg.T) is int and type(cfg.n_train) is int

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -181,15 +179,14 @@ class TestFittedNuisances:
             for j in (t + 2, t + 1, t):
                 sel = data.a[:, j] == plan_.values[j - t]
                 sizes.add(int(sel.sum()))
-                lone = fit_regressor(feats[j][sel], target[sel],
-                                     replace(hp, seed=_child_seed(7, 0xB, j)))
+                lone = fit_regressor(feats[j][sel], target[sel], hp, _child_seed(7, 0xB, j))
                 _assert_same_network(nu.response_models[j], lone)
                 target = lone.predict(feats[j])
             pi_hat = np.column_stack([plan_.propensity(j, nu.propensity_models[j].predict(feats[j]))
                                       for j in range(t, t + 3)])
             for j in (t, t + 1):
-                lone = fit_regressor(feats[j], np.prod(pi_hat[:, j - t + 1 :], axis=1),
-                                     replace(hp, seed=_child_seed(7, 0xC, j)))
+                lone = fit_regressor(feats[j], np.prod(pi_hat[:, j - t + 1 :], axis=1), hp,
+                                     _child_seed(7, 0xC, j))
                 _assert_same_network(nu.weight_models[j], lone)
         assert len(sizes) == 6  # every response fit has its own n
 

@@ -6,10 +6,12 @@ generator configuration, the learner list, an optional sweep axis with its
 grid (a subset of the axis's reference grid), the seed list, and estimator
 flags; it is checked when built, and a spec file with an unknown key is
 rejected.
-`run_cells` runs a spec's (grid value, seed) cells in spawned workers for
-`sweep` and the acceptance suite alike. Sweeps write one CSV row per
-(learner, grid value) plus a provenance JSON carrying the exact spec and
-its hash; rerunning an identical spec reproduces identical artifacts.
+`_run_cell` (`learners.run_experiment`) scores every cell: `run` writes
+one cell's artifacts from its record, and `run_cells` runs a spec's cells
+in spawned workers for `sweep` and the acceptance suite. Sweeps write one
+CSV row per (learner, grid value) plus a provenance JSON carrying the
+exact spec and its hash; rerunning an identical spec reproduces identical
+artifacts.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ import numpy as np
 
 from . import dgp, verify
 from .core import ParameterError, check_floor, check_int, check_window
-from .learners import LEARNERS, build_cell, evaluate_rmse, run_experiment, train_learner
+from .learners import LEARNERS, run_experiment
 from .nuisance import PROPENSITY_FLOOR
-from .pseudo import PseudoConfig, cate_pseudo
+from .pseudo import PseudoConfig
 
 # Grids the reference experiments cover; sweep values outside these are
 # rejected.
@@ -179,7 +181,7 @@ def main():
 @main.command()
 @_with_spec_options
 @click.option("--n", type=int, default=None, help="Override the number of trajectories.")
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 def simulate(spec_path, n, seed, **overrides):
     """Draw a synthetic panel and write it as JSONL."""
     spec = _load_spec(spec_path, **overrides)
@@ -223,34 +225,25 @@ def run_cells(spec: ExperimentSpec, workers: int):
 
 @main.command()
 @_with_spec_options
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 def run(spec_path, seed, **overrides):
-    """Train every learner on one cell and write per-cell artifacts:
-    metrics JSON, the pseudo-outcome CSV, and model checkpoints."""
+    """Score one cell with the sweep's `_run_cell`, then write its record's
+    metrics JSON, pseudo-outcome CSV and model checkpoints."""
     spec = _load_spec(spec_path, **overrides)
     if spec.axis != "none":
         raise click.UsageError("run trains one cell and takes no sweep axis; use `sweep`")
-    config = spec.config_for()
+    result = _run_cell(spec, None, seed)
     out = Path(spec.out_dir) / f"{spec.kind}_seed{seed}"
     out.mkdir(parents=True, exist_ok=True)
-
-    cell, test, truth = build_cell(config, seed=seed, window=spec.window, floor=spec.floor)
-
-    po = cate_pseudo(cell.ev_a, cell.ev_b, cell.y_final)
-    po.to_csv(out / "pseudo_outcomes.csv", ids=cell.stage2.ids)
-
+    result["pseudo"].to_csv(out / "pseudo_outcomes.csv", ids=result["ids"])
     metrics = []
-    for name in spec.learners:
-        t0 = time.perf_counter()
-        model = train_learner(cell, name, pseudo_config=spec.pseudo_config, seed=seed)
-        rmse = evaluate_rmse(model, test, truth)
-        wallclock = time.perf_counter() - t0  # training and scoring, as in a sweep
+    for name, model in result["models"].items():
         model.network.save(out / f"model_{name}.npz")
         metrics.append({
-            "learner": name, "dgp": spec.kind, "params": config.to_dict(), "seed": seed,
-            "rmse": rmse, "wallclock": wallclock,
+            "learner": name, "dgp": spec.kind, "params": spec.config_for().to_dict(),
+            "seed": seed, "rmse": result["rmse"][name], "wallclock": result["seconds"][name],
         })
-        click.echo(f"{name}: rmse={rmse:.4f}")
+        click.echo(f"{name}: rmse={result['rmse'][name]:.4f}")
     (out / "metrics.json").write_text(json.dumps(
         {"spec_hash": spec.hash, "spec": spec.to_dict(), "metrics": metrics}, indent=2))
     click.echo(f"artifacts in {out}")
@@ -338,7 +331,7 @@ def _check_consistency(csv_path) -> bool:
 
 
 @main.command("verify")
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--fast", is_flag=True, default=False, help="Smaller Monte Carlo sizes.")
 @click.option("--out-dir", default="runs")
 def verify_cmd(seed, fast, out_dir):

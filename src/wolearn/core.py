@@ -162,16 +162,54 @@ class Dataset:
 
     @classmethod
     def from_jsonl(cls, path) -> "Dataset":
+        """Read a panel written by `to_jsonl`. A line that is not a JSON
+        object, a header without integral n, T and d_x, a row without id,
+        x, a or y or whose arrays do not have the header's shapes, and a
+        header n other than the row count raise ParameterError naming the
+        file, the line and the field; so do the constructor's checks."""
         with open(path) as f:
-            header = json.loads(f.readline())
-            xs, as_, ys, ids = [], [], [], []
-            for line in f:
-                row = json.loads(line)
-                xs.append(row["x"])
-                as_.append(row["a"])
-                ys.append(row["y"])
+            header = _jsonl_object(path, 1, f.readline())
+            n, T, d_x = (check_int(header.get(k), f"{path}, line 1: header field {k!r}", 0)
+                         for k in ("n", "T", "d_x"))
+            shapes = {"x": (T, d_x), "a": (T,), "y": (T,)}
+            arrays, ids = {k: [] for k in shapes}, []
+            for lineno, line in enumerate(f, start=2):
+                row = _jsonl_object(path, lineno, line)
+                missing = [k for k in ("id", *shapes) if k not in row]
+                if missing:
+                    raise ParameterError(f"{path}, line {lineno}: field {missing[0]!r} is missing")
+                for k, shape in shapes.items():
+                    arrays[k].append(_jsonl_array(path, lineno, k, row[k], shape))
                 ids.append(row["id"])
-        return cls(np.array(xs), np.array(as_), np.array(ys), ids=ids, meta=header.get("meta", {}))
+        if len(ids) != n:
+            raise ParameterError(f"{path}, line 1: header field 'n' is {n}, "
+                                 f"but {len(ids)} rows follow")
+        try:
+            return cls(*(np.array(arrays[k]).reshape(n, *shapes[k]) for k in shapes),
+                       ids=ids, meta=header.get("meta", {}))
+        except ParameterError as exc:
+            raise ParameterError(f"{path}: {exc}") from exc
+
+
+def _jsonl_object(path, lineno: int, line: str) -> dict:
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParameterError(f"{path}, line {lineno}: not valid JSON ({exc.msg})") from exc
+    if not isinstance(record, dict):
+        raise ParameterError(f"{path}, line {lineno}: {record!r} is not a JSON object")
+    return record
+
+
+def _jsonl_array(path, lineno: int, name: str, value, shape) -> np.ndarray:
+    try:
+        out = np.asarray(value)
+    except ValueError:  # ragged
+        out = None
+    if out is None or out.dtype.kind not in "iuf" or out.shape != shape:
+        raise ParameterError(f"{path}, line {lineno}: field {name!r} is not an array of "
+                             f"numbers of the header's shape {shape}")
+    return out
 
 
 def check_window(window, T: int) -> int:

@@ -322,14 +322,11 @@ def _expected_level(config: DgpConfig, x, delta: int):
 
 def exact_cate(config: DgpConfig, state: State, plan_a: InterventionPlan, plan_b: InterventionPlan):
     """Closed-form CATE of plan_a over plan_b at each state: the difference
-    of the two plans' expected final outcomes. Where the outcome is linear
-    in the arm, the arm-free part is computed once for both plans."""
+    of the two plans' expected final outcomes, `expected_outcome` at each
+    plan's last treatment, for every kind."""
     tau, a, b = plan_a.horizon, plan_a.values[-1], plan_b.values[-1]
-    if config.kind == "mu":
-        return (expected_outcome(config, state.x, state.x_prev, a, tau)
-                - expected_outcome(config, state.x, state.x_prev, b, tau))
-    level = _expected_level(config, state.x, tau)
-    return level * (a - 0.5) - level * (b - 0.5)
+    return (expected_outcome(config, state.x, state.x_prev, a, tau)
+            - expected_outcome(config, state.x, state.x_prev, b, tau))
 
 
 def test_set_truth(config: DgpConfig, data: Dataset, anchor: int, plan_a, plan_b, m=10000, seed=0):

@@ -13,14 +13,15 @@ pseudo-outcome on history features:
   ha   a single history-adjusted outcome regression on features(H_t) and
        the realized future treatments, differenced at the two plans.
 
-A `Cell` bundles the split and the held-out evaluations of the nuisances
-fitted on it, so that several learners reuse one set of nuisance fits.
+A `Cell` bundles the split, the held-out nuisance evaluations and their
+pseudo-outcomes, so several learners reuse one set of nuisance fits;
+`run_experiment` is the one loop that trains, scores and times them.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from . import backbone
 from .core import (Dataset, InterventionPlan, ParameterError, always_treat, feature_matrix,
                    never_treat, split_dataset)
 from .nuisance import PROPENSITY_FLOOR, _child_seed, fit_nuisances
-from .pseudo import PseudoConfig, cate_pseudo, ipw_transform, risk_linear_term
+from .pseudo import PseudoConfig, PseudoOutcomes, cate_pseudo, ipw_transform, risk_linear_term
 
 LEARNERS = ("wo", "dr", "ipw", "ra", "ha")
 
@@ -54,6 +55,7 @@ class Cell:
     ev_a_raw: object  # same, unfloored (for the no-floor ablation)
     ev_b_raw: object
     window: str = "full"
+    pseudo: PseudoOutcomes = field(init=False)  # cate_pseudo of ev_a, ev_b; set by prepare_cell
 
     @property
     def anchor(self) -> int:
@@ -86,8 +88,10 @@ def prepare_cell(data, plan_a, plan_b, lam=0.5, hp=backbone.Hyperparameters(), s
         raise ParameterError("nuisance and stage-2 splits must be disjoint")
     na, nb = fit_nuisances(nuis_split, (plan_a, plan_b), hp=hp, window=window, seed=seed)
     raw_a, raw_b = na.evaluate(stage2, floor=0.0), nb.evaluate(stage2, floor=0.0)
-    return Cell(data, plan_a, plan_b, nuis_split, stage2,
+    cell = Cell(data, plan_a, plan_b, nuis_split, stage2,
                 raw_a.floored(floor), raw_b.floored(floor), raw_a, raw_b, window)
+    cell.pseudo = cate_pseudo(cell.ev_a, cell.ev_b, cell.y_final)
+    return cell
 
 
 @dataclass
@@ -118,7 +122,7 @@ def _with_plan(feats: np.ndarray, plan: InterventionPlan) -> np.ndarray:
 def train_wo(cell: Cell, hp=backbone.Hyperparameters(),
              pseudo_config: PseudoConfig = PseudoConfig(), seed=0) -> CateModel:
     """Second stage of the overlap-weighted orthogonal learner."""
-    po = cate_pseudo(cell.ev_a, cell.ev_b, cell.y_final)
+    po = cell.pseudo
     weights = po.rho
     linear = risk_linear_term(po)
     if pseudo_config.clamp_rho:
@@ -134,15 +138,14 @@ def train_wo(cell: Cell, hp=backbone.Hyperparameters(),
 def train_baseline(cell: Cell, name: str, hp=backbone.Hyperparameters(), seed=0) -> CateModel:
     """Train one of the baseline learners: dr, ipw, ra, ha, or ipw_nofloor
     (ipw on unfloored propensities)."""
-    ev_a, ev_b, y = cell.ev_a, cell.ev_b, cell.y_final
     if name == "dr":
-        target = cate_pseudo(ev_a, ev_b, y).gamma
+        target = cell.pseudo.gamma
     elif name == "ipw":
-        target = ipw_transform(ev_a, ev_b, y)
+        target = ipw_transform(cell.ev_a, cell.ev_b, cell.y_final)
     elif name == "ipw_nofloor":
-        target = ipw_transform(cell.ev_a_raw, cell.ev_b_raw, y)
+        target = ipw_transform(cell.ev_a_raw, cell.ev_b_raw, cell.y_final)
     elif name == "ra":
-        target = cate_pseudo(ev_a, ev_b, y).mu
+        target = cell.pseudo.mu
     elif name == "ha":
         return _train_ha(cell, hp, seed)
     else:
@@ -197,13 +200,16 @@ def build_cell(config, seed=0, hp=backbone.Hyperparameters(), window="full",
 def run_experiment(config, seed=0, learners=LEARNERS, hp=backbone.Hyperparameters(),
                    pseudo_config=PseudoConfig(), window="full", floor=PROPENSITY_FLOOR):
     """One full cell: build it, fit every learner, score against ground
-    truth. Returns {"seed": seed, "rmse": {learner: rmse}, "seconds":
-    {learner: wall time of its training and scoring}}."""
+    truth. Returns {"seed": seed, "rmse": {learner: rmse}, "seconds": {learner:
+    training and scoring time}, "models": {learner: CateModel}, "pseudo":
+    the cell's PseudoOutcomes, "ids": their stage-2 unit ids}."""
     cell, test, truth = build_cell(config, seed=seed, hp=hp, window=window, floor=floor)
-    result = {"seed": seed, "rmse": {}, "seconds": {}}
+    result = {"seed": seed, "rmse": {}, "seconds": {}, "models": {},
+              "pseudo": cell.pseudo, "ids": cell.stage2.ids}
     for name in learners:
         t0 = time.perf_counter()
         model = train_learner(cell, name, hp=hp, pseudo_config=pseudo_config, seed=seed)
+        result["models"][name] = model
         result["rmse"][name] = evaluate_rmse(model, test, truth)
         result["seconds"][name] = time.perf_counter() - t0
     return result

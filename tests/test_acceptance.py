@@ -198,7 +198,7 @@ class TestCriterion9Engineering:
         kw = dict(floor=FLOOR, window=1, pseudo_config=PSEUDO)
         r1 = run_experiment(cfg, seed=0, learners=("wo", "ra"), **kw)
         r2 = run_experiment(cfg, seed=0, learners=("wo", "ra"), **kw)
-        run_ok = r1["rmse"] == r2["rmse"]  # the rest of a result is wall times
+        run_ok = r1["rmse"] == r2["rmse"]  # the seconds are wall times
 
         data = dgp.simulate(cfg, seed=3)
         cell = prepare_cell(data, always_treat(3, 1), never_treat(3, 1), seed=0, window=1)

@@ -1,13 +1,18 @@
 import csv
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from wolearn import cli
+from wolearn.backbone import Network
 from wolearn.cli import (SWEEP_COLUMNS, ExperimentSpec, _aggregate, _check_consistency,
                          _load_spec, main, run_cells)
 from wolearn.core import Dataset, ParameterError
+from wolearn.dgp import simulate
 from wolearn.learners import run_experiment
 
 TINY = dict(kind="gamma", dgp={"n_train": 200, "n_test": 40, "T": 5},
@@ -151,6 +156,16 @@ class TestExperimentSpec:
         assert ExperimentSpec(**{**TINY, "window": "full"}).window == "full"
 
 
+@pytest.mark.parametrize("command", ["simulate", "run", "verify"])
+def test_negative_seed_is_a_usage_error_before_any_output(tmp_path, command):
+    # run used to make an empty runs/gamma_seed-1/ and then raise deep inside
+    runner = CliRunner()
+    with runner.isolated_filesystem(temp_dir=tmp_path) as cwd:
+        result = runner.invoke(main, [command, "--seed", "-1"])
+        assert result.exit_code == 2 and "--seed" in result.output
+        assert not list(Path(cwd).iterdir())
+
+
 class TestSimulateCommand:
     def test_writes_jsonl(self, tmp_path):
         runner = CliRunner()
@@ -211,6 +226,37 @@ class TestRunCommand:
                                 pseudo_config=spec.pseudo_config, window=spec.window,
                                 floor=spec.floor)["rmse"]
         assert {m["learner"]: m["rmse"] for m in metrics} == expect
+
+    def test_checkpoints_predict_as_the_record_models(self, tmp_path, monkeypatch):
+        # the record run wrote its artifacts from, as _run_cell returned it
+        records, run_cell = [], cli._run_cell
+
+        def recording_run_cell(*args):
+            records.append(run_cell(*args))
+            return records[-1]
+
+        monkeypatch.setattr(cli, "_run_cell", recording_run_cell)
+        spec = ExperimentSpec(**{**TINY, "learners": ["wo", "ipw", "ha"],
+                                 "out_dir": str(tmp_path)})
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec.to_dict()))
+        result = CliRunner().invoke(main, ["run", "--spec", str(spec_file)])
+        assert result.exit_code == 0, result.output
+        (record,) = records
+        test = simulate(spec.config_for(), seed=9, n=30)
+        for name, model in record["models"].items():
+            saved = Network.load(tmp_path / "gamma_seed0" / f"model_{name}.npz")
+            np.testing.assert_array_equal(replace(model, network=saved).predict(test),
+                                          model.predict(test))
+
+    def test_failed_cell_leaves_no_output(self, tmp_path):
+        # 12 trajectories leave too few nuisance-split units per arm
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, [
+            "run", "--kind", "gamma", "--dgp", '{"n_train": 12, "n_test": 40}',
+            "--learners", "ra", "--window", "1", "--out-dir", str(out)])
+        assert isinstance(result.exception, ParameterError)
+        assert not out.exists()
 
 
 class TestSweepCommand:

@@ -186,6 +186,40 @@ class TestDataset:
             Dataset.from_jsonl(path)
 
 
+    @pytest.mark.parametrize("fault, line, match", [
+        # each used to raise a bare KeyError, numpy's ragged-array ValueError
+        # or a JSONDecodeError, or, for the header's n, load silently
+        (lambda h, rows: (h, [{k: v for k, v in rows[0].items() if k != "id"}, *rows[1:]]),
+         2, "field 'id' is missing"),
+        (lambda h, rows: (h, [rows[0], {**rows[1], "y": rows[1]["y"][:-1]}, rows[2]]),
+         3, r"field 'y' .*shape \(3,\)"),
+        (lambda h, rows: (h, [rows[0], rows[1], {**rows[2], "x": [[0.0], [1.0, 2.0], [3.0]]}]),
+         4, r"field 'x' .*shape \(3, 1\)"),
+        (lambda h, rows: (h, [{**rows[0], "a": ["1", "0", "1"]}, *rows[1:]]), 2, "field 'a'"),
+        (lambda h, rows: ("", rows), 1, "not valid JSON"),
+        (lambda h, rows: (h, [rows[0], "{bad", rows[2]]), 3, "not valid JSON"),
+        (lambda h, rows: (h, [rows[0], [1, 2], rows[2]]), 3, "not a JSON object"),
+        (lambda h, rows: ({**h, "n": 7}, rows), 1, "'n' is 7, but 3 rows follow"),
+        (lambda h, rows: ({**h, "T": 4}, rows), 2, r"field 'x' .*shape \(4, 1\)"),
+        (lambda h, rows: ({**h, "d_x": 2}, rows), 2, r"field 'x' .*shape \(3, 2\)"),
+        (lambda h, rows: ({k: v for k, v in h.items() if k != "T"}, rows), 1, "'T'"),
+    ], ids=["no id", "short y", "ragged x", "string a", "empty header", "malformed row",
+            "row not an object", "header n", "header T", "header d_x", "header without T"])
+    def test_malformed_jsonl_rejected_by_file_line_and_field(self, tmp_path, fault, line,
+                                                             match):
+        path = tmp_path / "panel.jsonl"
+        data = _toy_dataset(n=3, T=3, d_x=1, seed=2)
+        data.to_jsonl(path)
+        back = Dataset.from_jsonl(path)  # the clean round trip still loads
+        np.testing.assert_array_equal(back.x, data.x)
+        header, *rows = map(json.loads, path.read_text().splitlines())
+        header, rows = fault(header, rows)
+        path.write_text("\n".join(v if isinstance(v, str) else json.dumps(v)
+                                  for v in (header, *rows)) + "\n")
+        with pytest.raises(ParameterError, match=f"panel.jsonl, line {line}: .*{match}"):
+            Dataset.from_jsonl(path)
+
+
 class TestSplit:
     def test_split_sizes_and_disjointness(self):
         data = _toy_dataset(n=101, seed=5)

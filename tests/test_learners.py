@@ -66,6 +66,23 @@ class TestPrepareCell:
         with pytest.raises(ParameterError, match="disjoint"):
             prepare_cell(data, always_treat(t, cfg.tau), never_treat(t, cfg.tau), hp=FAST)
 
+    def test_pseudo_outcomes_computed_once_per_cell(self, monkeypatch):
+        # train_wo, dr and ra each used to call cate_pseudo themselves
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return cate_pseudo(*args)
+
+        monkeypatch.setattr("wolearn.learners.cate_pseudo", counting)
+        _, _, cell = _small_cell()
+        for name in (*LEARNERS, "ipw_nofloor"):
+            train_learner(cell, name, hp=FAST, seed=0)
+        assert len(calls) == 1
+        expect = cate_pseudo(cell.ev_a, cell.ev_b, cell.y_final)
+        for name in ("gamma", "rho", "omega", "mu"):
+            np.testing.assert_array_equal(getattr(cell.pseudo, name), getattr(expect, name))
+
     def test_evaluations_equal_separate_calls(self):
         # prepare_cell evaluates each arm once and floors a copy; that must
         # give the bits of evaluating at the floor and at 0.0 separately.
@@ -170,6 +187,8 @@ class TestRunExperiment:
         r2 = run_experiment(cfg, seed=0, learners=("wo", "ra"), hp=FAST, window=1)
         assert set(r1["rmse"]) == set(r1["seconds"]) == {"wo", "ra"}
         assert r1["rmse"] == r2["rmse"]  # the seconds are wall times
+        assert list(r1["models"]) == ["wo", "ra"]
+        assert len(r1["ids"]) == len(r1["pseudo"].rho) == 150  # the stage-2 half
         assert all(v > 0 for v in r1["seconds"].values())
         assert all(np.isfinite(v) for v in r1["rmse"].values())
 

@@ -84,6 +84,8 @@ class ExperimentSpec:
             raise ParameterError("learner list must not be empty")
         if not self.seeds or len(set(self.seeds)) < len(self.seeds):
             raise ParameterError(f"seeds {list(self.seeds)} must be distinct and at least one")
+        if len(set(self.learners)) < len(self.learners):
+            raise ParameterError(f"learners {list(self.learners)} repeat a learner")
         if len(set(self.grid)) < len(self.grid):
             raise ParameterError(f"grid {list(self.grid)} repeats a value")
         check_floor(self.floor)
@@ -180,7 +182,8 @@ def main():
 
 @main.command()
 @_with_spec_options
-@click.option("--n", type=int, default=None, help="Override the number of trajectories.")
+@click.option("--n", type=click.IntRange(min=1), default=None,
+              help="Override the number of trajectories.")
 @click.option("--seed", type=click.IntRange(min=0), default=0)
 def simulate(spec_path, n, seed, **overrides):
     """Draw a synthetic panel and write it as JSONL."""

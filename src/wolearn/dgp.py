@@ -24,7 +24,11 @@ one step before a plan's end is a 1-d Gaussian integral too
 (`OracleNuisanceSet`). The Monte Carlo rollouts in `tests/monte_carlo.py`
 are independent cross-checks of all of these.
 `conditional_rollout` completes m copies of one unit's history under the
-observational law, as the per-history checks of `verify` need.
+observational law, as the per-history checks of `verify` need. It draws
+the noise of all m copies at the call and yields the copies in blocks of
+at most ROLLOUT_BLOCK rows, each run through `rollout`'s own step loop, so
+the blocks, concatenated, are one rollout of the m copies while a caller
+holds one block at a time.
 `DgpConfig` rejects an unknown kind, unknown settings, non-integral or
 below-1 sizes, a tau outside [0, T-1], a gamma that is not a finite
 number, and a gamma other than 1 for a kind other than gamma, which never
@@ -43,6 +47,9 @@ from typing import ClassVar
 import numpy as np
 
 from .core import Dataset, InterventionPlan, ParameterError, check_int, check_real, sigmoid
+
+# the most rows of one block that `conditional_rollout` completes at a time
+ROLLOUT_BLOCK = 10_000
 
 KIND_DEFAULTS = {
     "gamma": dict(T=5, d_x=1, n_train=4000, tau=1),
@@ -174,10 +181,24 @@ def rollout(config: DgpConfig, state: State, steps: int, rng, forced=None):
     shape (L, steps[, d_x]) where p1 is P(A=1 | history) at each step.
     Equally seeded `rng`s give the same noise whatever `forced` is.
     """
-    L = state.y_prev.shape[0]
+    return _run_steps(config, state, _draw_noise(config, len(state.y_prev), steps, rng), forced)
+
+
+def _draw_noise(config: DgpConfig, L: int, steps: int, rng):
+    """The noise of L rows over `steps` steps, in the order that every
+    rollout draws it: (eps_x, eps_y, u)."""
     eps_x = rng.normal(0.0, config.sigma_x, size=(L, steps, config.d_x))
     eps_y = rng.normal(0.0, config.sigma_y, size=(L, steps))
     u = rng.uniform(size=(L, steps))
+    return eps_x, eps_y, u
+
+
+def _run_steps(config: DgpConfig, state: State, noise, forced=None):
+    """`rollout`'s step loop on drawn noise: every row evolves from its own
+    state and its own noise rows only, so a slice of the rows gives that
+    slice of the output."""
+    eps_x, eps_y, u = noise
+    L, steps = eps_y.shape
     x, x_prev = state.x.copy(), state.x_prev.copy()
     y_prev, a_prev = state.y_prev.copy(), state.a_prev.copy()
     xs = np.empty((L, steps, config.d_x))
@@ -213,26 +234,39 @@ def simulate(config: DgpConfig, seed: int, n=None) -> Dataset:
     return Dataset(out["x"], out["a"].astype(np.int64), out["y"], meta=meta)
 
 
-def _unit_state(data: Dataset, anchor: int, m: int) -> State:
-    """The state at `anchor` of the one unit in `data`, repeated m times."""
+def _unit_state(data: Dataset, anchor: int) -> State:
+    """The state at `anchor` of the one unit in `data`."""
     if data.n != 1:
         raise ParameterError("pass one unit, e.g. data.subset([i])")
-    return State.from_dataset(data, anchor).tile(check_int(m, "m", 1))
+    return State.from_dataset(data, anchor)
 
 
-def conditional_rollout(config: DgpConfig, data: Dataset, anchor: int, m: int,
-                        seed: int) -> Dataset:
-    """m completed copies of the one unit in `data`: the columns before
-    `anchor` are the unit's own, and (X, A, Y) from `anchor` to the end of
-    the panel are re-simulated under the observational law given its
-    history. Every copy shares the history at the anchor. The seed must be
-    a non-negative integer."""
-    state = _unit_state(data, anchor, m)
+def conditional_rollout(config: DgpConfig, data: Dataset, anchor: int, m: int, seed: int):
+    """m completed copies of the one unit in `data`, as an iterator over
+    `Dataset` blocks of at most ROLLOUT_BLOCK rows in row order: the columns
+    before `anchor` are the unit's own, and (X, A, Y) from `anchor` to the
+    end of the panel are re-simulated under the observational law given its
+    history. Every copy shares the history at the anchor. The noise of all
+    m copies is drawn at the call, so the blocks, concatenated, are the same
+    whatever ROLLOUT_BLOCK is; a block holds one block of copies, not m.
+    The arguments are checked at the call: one unit, an anchor inside the
+    panel, an integer m of at least 1 and a non-negative integer seed."""
+    state = _unit_state(data, anchor)
+    m = check_int(m, "m", 1)
     rng = np.random.default_rng(np.random.SeedSequence((check_int(seed, "seed", 0), 0xA0)))
-    out = rollout(config, state, data.T - anchor, rng=rng)
-    x, a, y = (np.repeat(v, len(state.y_prev), axis=0) for v in (data.x, data.a, data.y))
-    x[:, anchor:], a[:, anchor:], y[:, anchor:] = out["x"], out["a"], out["y"]
-    return Dataset(x, a, y)
+    noise = _draw_noise(config, m, data.T - anchor, rng)
+    return _completed_blocks(config, data, anchor, state, m, noise)
+
+
+def _completed_blocks(config, data, anchor, state, m, noise):
+    """`conditional_rollout`'s blocks: a generator, so that its caller
+    checks the arguments and draws the noise before the first block."""
+    for lo in range(0, m, ROLLOUT_BLOCK):
+        hi = min(lo + ROLLOUT_BLOCK, m)
+        out = _run_steps(config, state.tile(hi - lo), tuple(v[lo:hi] for v in noise))
+        x, a, y = (np.repeat(v, hi - lo, axis=0) for v in (data.x, data.a, data.y))
+        x[:, anchor:], a[:, anchor:], y[:, anchor:] = out["x"], out["a"], out["y"]
+        yield Dataset(x, a, y)
 
 
 def _gauss_exp_moment(mean, var):

@@ -11,7 +11,11 @@ error:
                       targets are the anchor column of the clean oracle
                       evaluations, which every completed row shares (so
                       the oracle evaluates that shared state once, not
-                      once per row);
+                      once per row). The completed rows arrive in blocks
+                      of at most `dgp.ROLLOUT_BLOCK` and are evaluated one
+                      block at a time, so a check holds one block, not m
+                      rows, and every z is the one that a single panel of
+                      all m rows gives;
   risk equivalence    pairwise differences of the empirical weighted risk
                       match the population overlap-weighted excess risk,
                       and both rank a menu of candidate effect functions
@@ -107,7 +111,10 @@ def _conditional_mean_check(name, stat_fn, seed, n_histories, m, min_pass, confi
     (ev_a, ev_b, y_final, targets) to {label: (values, target)}, where
     targets = (mu_a, mu_b, omega_a, omega_b) at the history. Every row of a
     completed panel shares the history at the anchor, so the targets are the
-    anchor column of the clean evaluations."""
+    anchor column of the clean evaluations of the first block. The
+    statistics are computed one `dgp.conditional_rollout` block at a time
+    and each label's values concatenated before its z, so a history holds
+    one block of completed rows at a time, not m."""
     config = config or dgp.DgpConfig.make("gamma", gamma=2.0)
     t, tau = config.eval_anchor, config.tau
     data = dgp.simulate(config, seed=seed, n=n_histories)
@@ -117,17 +124,20 @@ def _conditional_mean_check(name, stat_fn, seed, n_histories, m, min_pass, confi
     n_ok = 0
     rows = []
     for i in range(n_histories):
-        comp = dgp.conditional_rollout(config, data.subset([i]), t, m, seed=seed * 1000 + i)
-        ev_a = na.evaluate(comp, floor=0.0)
-        ev_b = nb.evaluate(comp, floor=0.0)
-        targets = tuple(float(v) for v in (ev_a.mu[0, 0], ev_b.mu[0, 0],
-                                           ev_a.omega_t[0], ev_b.omega_t[0]))
-        if corrupt_mu is not None:
-            # the double-robustness probe: shifted copies of the responses
-            # enter the pseudo-outcomes, the targets stay clean
-            ev_a, ev_b = (replace(ev, mu=ev.mu + corrupt_mu) for ev in (ev_a, ev_b))
-        zs = {label: _z(values, target)
-              for label, (values, target) in stat_fn(ev_a, ev_b, comp.y[:, t + tau], targets).items()}
+        stats, targets = [], None  # one {label: (values, target)} per block
+        for comp in dgp.conditional_rollout(config, data.subset([i]), t, m, seed=seed * 1000 + i):
+            ev_a = na.evaluate(comp, floor=0.0)
+            ev_b = nb.evaluate(comp, floor=0.0)
+            if targets is None:
+                targets = tuple(float(v) for v in (ev_a.mu[0, 0], ev_b.mu[0, 0],
+                                                   ev_a.omega_t[0], ev_b.omega_t[0]))
+            if corrupt_mu is not None:
+                # the double-robustness probe: shifted copies of the responses
+                # enter the pseudo-outcomes, the targets stay clean
+                ev_a, ev_b = (replace(ev, mu=ev.mu + corrupt_mu) for ev in (ev_a, ev_b))
+            stats.append(stat_fn(ev_a, ev_b, comp.y[:, t + tau], targets))
+        zs = {label: _z(np.concatenate([block[label][0] for block in stats]), target)
+              for label, (_, target) in stats[0].items()}
         z_hist = max(abs(v) for v in zs.values())
         worst = max(worst, z_hist)
         ok = z_hist <= Z_CONDITIONAL
@@ -153,9 +163,10 @@ def check_conditional_mean_gamma(seed=0, n_histories=50, m=20000, config=None,
 
     def stats(ev_a, ev_b, y_final, targets):
         mu_a, mu_b, _, _ = targets
+        gamma_a = gamma_plan(ev_a, y_final)
         return {
-            "gamma_capo": (gamma_plan(ev_a, y_final), mu_a),
-            "gamma_cate": (gamma_plan(ev_a, y_final) - gamma_plan(ev_b, y_final), mu_a - mu_b),
+            "gamma_capo": (gamma_a, mu_a),
+            "gamma_cate": (gamma_a - gamma_plan(ev_b, y_final), mu_a - mu_b),
         }
 
     return _conditional_mean_check("conditional_mean_gamma", stats, seed, n_histories, m,

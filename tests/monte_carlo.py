@@ -14,11 +14,18 @@ import math
 import numpy as np
 
 from wolearn import dgp
-from wolearn.core import ParameterError
+from wolearn.core import Dataset, ParameterError
 
 
 class HorizonError(ParameterError):
     pass
+
+
+def completed_panel(config, data, anchor: int, m: int, seed: int) -> Dataset:
+    """The blocks of `dgp.conditional_rollout` concatenated into one panel
+    of m completed copies."""
+    blocks = list(dgp.conditional_rollout(config, data, anchor, m, seed=seed))
+    return Dataset(*(np.concatenate([getattr(b, name) for b in blocks]) for name in "xay"))
 
 
 def ground_truth_cate(config, data, anchor: int, plan_a, plan_b, m: int, seed=0):
@@ -30,7 +37,7 @@ def ground_truth_cate(config, data, anchor: int, plan_a, plan_b, m: int, seed=0)
     steps = plan_a.horizon + 1
     if anchor + steps > data.T:
         raise HorizonError("plan extends past the trajectory length")
-    state = dgp._unit_state(data, anchor, m)
+    state = dgp._unit_state(data, anchor).tile(m)
     # a fresh, equally seeded generator per arm: common random numbers
     rngs = [np.random.default_rng(np.random.SeedSequence((seed, 0xC7E))) for _ in range(2)]
     ya, yb = (dgp.rollout(config, state, steps, rng=rng, forced=list(p.values))["y"][:, -1]

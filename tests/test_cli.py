@@ -104,6 +104,8 @@ class TestExperimentSpec:
         ({"learners": "ra"}, "learners"),
         # kind n ignores gamma, so the sweep would score one cell twice
         ({"kind": "n", "axis": "gamma", "grid": [2.0, 4.0]}, "gamma=2.0 .*kind 'n'"),
+        # the cell used to train wo twice and keep the second fit
+        ({"learners": ["wo", "wo", "ra"]}, "repeat a learner"),
     ])
     def test_faults_fail_when_built(self, fault, match):
         with pytest.raises(ParameterError, match=match):
@@ -184,6 +186,15 @@ class TestSimulateCommand:
             main, ["simulate", "--spec", str(spec_file), "--kind", "n", "--n", "10"])
         assert result.exit_code == 0, result.output
         assert (tmp_path / "n_seed0.jsonl").exists()
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_nonpositive_n_is_a_usage_error_before_any_output(self, tmp_path, n):
+        # used to end in a ParameterError traceback from dgp.simulate
+        runner = CliRunner()
+        with runner.isolated_filesystem(temp_dir=tmp_path) as cwd:
+            result = runner.invoke(main, ["simulate", "--n", n])
+            assert result.exit_code == 2 and "--n" in result.output
+            assert not list(Path(cwd).iterdir())
 
     def test_seed_is_not_a_generator_setting(self, tmp_path):
         result = CliRunner().invoke(main, ["simulate", "--dgp", '{"seed": 3}',

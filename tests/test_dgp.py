@@ -23,8 +23,8 @@ from wolearn.dgp import (
 from wolearn.dgp import test_set_truth as truth_for_test_set
 from wolearn.nuisance import OracleBackedNuisances
 
-from monte_carlo import (HorizonError, ground_truth_cate, response_mc, response_nested_mc,
-                         tail_weight_mc)
+from monte_carlo import (HorizonError, completed_panel, ground_truth_cate, response_mc,
+                         response_nested_mc, tail_weight_mc)
 
 
 class TestConfig:
@@ -171,7 +171,7 @@ class TestSimulate:
         cfg = DgpConfig.make("gamma", n_train=5)
         data = simulate(cfg, seed=2)
         unit = data.subset([2])
-        out = conditional_rollout(cfg, unit, 2, m=20, seed=0)
+        out = completed_panel(cfg, unit, 2, m=20, seed=0)
         assert out.y.shape == (20, cfg.T) and out.x.shape == (20, cfg.T, cfg.d_x)
         assert set(np.unique(out.a)) <= {0, 1}
         # the columns before the anchor are the unit's, the anchor
@@ -180,13 +180,50 @@ class TestSimulate:
             np.testing.assert_array_equal(arr[:, :2], np.repeat(own[:, :2], 20, axis=0))
         np.testing.assert_array_equal(out.x[:, 2], np.repeat(unit.x[:, 2], 20, axis=0))
         assert np.unique(out.y[:, cfg.T - 1]).size > 1
-        again = conditional_rollout(cfg, unit, 2, m=20, seed=0)
+        again = completed_panel(cfg, unit, 2, m=20, seed=0)
         for arr, arr_again in ((out.x, again.x), (out.a, again.a), (out.y, again.y)):
             np.testing.assert_array_equal(arr, arr_again)
         with pytest.raises(ParameterError):
             conditional_rollout(cfg, data.subset([0, 1]), 2, m=5, seed=0)
         with pytest.raises(IndexError):
             conditional_rollout(cfg, unit, cfg.T, m=5, seed=0)
+
+    @pytest.mark.parametrize("block", [7, 50, 10_000])
+    def test_conditional_rollout_blocks_are_one_rollout(self, monkeypatch, block):
+        # the blocks, concatenated, are one rollout of m tiled copies on the
+        # call's noise, whatever the block size; all but the last are full
+        cfg = DgpConfig.make("gamma", n_train=5)
+        data = simulate(cfg, seed=2)
+        m, anchor = 50, 2
+        monkeypatch.setattr(dgp, "ROLLOUT_BLOCK", block)
+        blocks = list(conditional_rollout(cfg, data.subset([2]), anchor, m=m, seed=4))
+        assert [b.n for b in blocks[:-1]] == [block] * (len(blocks) - 1)
+        assert 1 <= blocks[-1].n <= block and sum(b.n for b in blocks) == m
+        rng = np.random.default_rng(np.random.SeedSequence((4, 0xA0)))
+        whole = rollout(cfg, State.from_dataset(data.subset([2]), anchor).tile(m),
+                        cfg.T - anchor, rng=rng)
+        panel = completed_panel(cfg, data.subset([2]), anchor, m=m, seed=4)
+        for name in "xay":
+            np.testing.assert_array_equal(getattr(panel, name)[:, anchor:], whole[name])
+            np.testing.assert_array_equal(
+                getattr(panel, name)[:, :anchor],
+                np.repeat(getattr(data, name)[2:3, :anchor], m, axis=0))
+
+    def test_conditional_rollout_checks_at_the_call(self, monkeypatch):
+        # a bad argument raises before any block is asked for, and before
+        # any draw
+        cfg = DgpConfig.make("gamma", n_train=5)
+        unit = simulate(cfg, seed=2).subset([2])
+
+        def no_draw(*args):
+            raise AssertionError("noise drawn before the arguments were checked")
+
+        monkeypatch.setattr(dgp, "_draw_noise", no_draw)
+        for kwargs, error in ((dict(m=0, seed=0), ParameterError),
+                              (dict(m=5, seed=-1), ParameterError),
+                              (dict(anchor=cfg.T, m=5, seed=0), IndexError)):
+            with pytest.raises(error):
+                conditional_rollout(cfg, unit, **{"anchor": 2, **kwargs})
 
     def test_conditional_rollout_copy_count_checked(self):
         # a fractional m used to complete int(m) copies without a word
@@ -196,7 +233,7 @@ class TestSimulate:
                          (0, "m=0 must be at least 1")):
             with pytest.raises(ParameterError, match=match):
                 conditional_rollout(cfg, unit, 2, m=m, seed=0)
-        assert conditional_rollout(cfg, unit, 2, m=2.0, seed=0).n == 2
+        assert completed_panel(cfg, unit, 2, m=2.0, seed=0).n == 2
 
     def test_presample_lags_are_zero_sentinels(self):
         # At anchor 0 the lags X_{-1}, Y_{-1}, A_{-1} are zero, and a
@@ -210,7 +247,7 @@ class TestSimulate:
             assert not lag.any()
         with pytest.raises(IndexError):  # not the last column
             State.from_dataset(data, -1)
-        out = conditional_rollout(cfg, data.subset([1]), 0, m=7, seed=0)
+        out = completed_panel(cfg, data.subset([1]), 0, m=7, seed=0)
         assert out.y.shape == (7, cfg.T) and np.isfinite(out.y).all()
         np.testing.assert_array_equal(out.x[:, 0], np.repeat(data.x[1:2, 0], 7, axis=0))
         m = 4000

@@ -3,8 +3,7 @@ import pytest
 
 from wolearn.backbone import Hyperparameters, fit_regressor
 from wolearn.core import ParameterError, always_treat, feature_matrix, never_treat
-from wolearn.dgp import (DgpConfig, OracleNuisanceSet, State, conditional_rollout, propensity_logit,
-                         sigmoid, simulate)
+from wolearn.dgp import DgpConfig, OracleNuisanceSet, State, propensity_logit, sigmoid, simulate
 from wolearn.nuisance import (
     MIN_FIT_UNITS,
     PROPENSITY_FLOOR,
@@ -15,6 +14,8 @@ from wolearn.nuisance import (
     fit_response_models,
     fit_weight_models,
 )
+
+from monte_carlo import completed_panel
 
 FAST = Hyperparameters(hidden=(8,), epochs=40)
 
@@ -98,7 +99,7 @@ class TestOracleBacked:
         # so the oracle sees one row there; the next step is row by row.
         cfg = DgpConfig.make("gamma", gamma=2.0)
         t, m = cfg.eval_anchor, 300
-        comp = conditional_rollout(cfg, simulate(cfg, seed=0, n=1), t, m, seed=0)
+        comp = completed_panel(cfg, simulate(cfg, seed=0, n=1), t, m, seed=0)
         oracle = OracleNuisanceSet(cfg, always_treat(t, 1))
         expect = []  # the oracle called row by row
         for j in (t, t + 1):

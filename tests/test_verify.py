@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,19 @@ class TestConditionalMeans:
         r2 = check_conditional_mean_rho(seed=3, n_histories=4, m=2000)
         assert r1.detail == r2.detail
 
+    @pytest.mark.parametrize("check", [
+        check_conditional_mean_gamma, check_conditional_mean_rho,
+        lambda **kw: check_conditional_mean_gamma(corrupt_mu=0.5, **kw)],
+        ids=["gamma", "rho", "gamma_corrupt_mu"])
+    def test_block_size_invariant(self, monkeypatch, check):
+        # the statistics are computed one completed block at a time; blocks
+        # of 7 rows give every z of one block of all m rows
+        details = []
+        for block in (7, 50):
+            monkeypatch.setattr(dgp, "ROLLOUT_BLOCK", block)
+            details.append(check(seed=0, n_histories=4, m=50).detail)
+        assert details[0] == details[1]
+
 
 class TestRiskEquivalence:
     def test_passes_and_ranks_truth_first(self):
@@ -115,6 +130,17 @@ class TestRLearnerReduction:
         assert rep.passed, rep.summary
         for key in POINTWISE_KEYS:
             assert rep.detail[key] <= verify.TOL_POINTWISE
+
+    def test_memory_is_one_block(self):
+        # the m = 100,000 completed rows are evaluated one block at a time:
+        # one panel of all of them peaked near 40 MB
+        tracemalloc.start()
+        try:
+            check_r_learner_reduction(seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12e6, f"traced peak {peak / 1e6:.1f} MB"
 
     def test_rejects_multi_step_config(self):
         # the pointwise identities and the E[rho|H] harness must test the

@@ -3,9 +3,9 @@
 Two losses on flat feature vectors: logistic loss for binary
 classification, and a weighted quadratic objective sum_i [w_i g_i^2 -
 2 q_i g_i], which squared-error regression takes with unit weights and
-q = y. The weights may be negative: the objective is normalized once by the
-weights' total over the full training set so per-batch gradients stay
-stable.
+q = y. The weights are non-negative (the WO second stage zeroes its
+negative rho draws), and the objective is normalized once by the weights'
+total over the full training set so per-batch gradients stay stable.
 
 One trainer fits a stack of K networks in lockstep: their parameters live
 in one (K, P) array with per-layer views into it, the forward and backward
@@ -202,15 +202,28 @@ class Network:
 
     @classmethod
     def load(cls, path):
+        """A network written by `save`. A missing array or a task other
+        than "regression" or "classification" raises ParameterError naming
+        the file and the field."""
         with np.load(path, allow_pickle=False) as z:
-            n_layers = sum(1 for k in z.files if k.startswith("w"))
-            params = [(z[f"w{i}"], z[f"b{i}"]) for i in range(n_layers)]
+
+            def read(name):
+                if name not in z.files:
+                    raise ParameterError(f"checkpoint {path}: no {name!r} array")
+                return z[name]
+
+            task = str(read("task"))
+            if task not in ("regression", "classification"):
+                raise ParameterError(f"checkpoint {path}: task {task!r} is neither "
+                                     "'regression' nor 'classification'")
+            n_layers = max(1, sum(1 for k in z.files if k.startswith("w")))
+            params = [(read(f"w{i}"), read(f"b{i}")) for i in range(n_layers)]
             return cls(
                 params,
-                _Standardizer(z["x_mean"], z["x_scale"]),
-                str(z["task"]),
-                float(z["y_mean"]),
-                float(z["y_scale"]),
+                _Standardizer(read("x_mean"), read("x_scale")),
+                task,
+                float(read("y_mean")),
+                float(read("y_scale")),
             )
 
 
@@ -241,19 +254,6 @@ def _inputs(x, *per_sample):
     return (x, *cols)
 
 
-def _weight_mass(weights):
-    """(|w|, normalizing total) of signed sample weights."""
-    abs_w = np.abs(weights)
-    if abs_w.sum() < 1e-12:
-        raise ParameterError("sample weights are all ~0; objective is undefined")
-    total = weights.sum()
-    # With signed weights the net sum can cancel toward zero; normalize by
-    # the absolute mass instead so gradient scale stays bounded.
-    if total < 0.01 * abs_w.sum():
-        total = abs_w.sum()
-    return abs_w, total
-
-
 def classification_problem(x, y) -> Problem:
     """Logistic loss on binary labels y."""
     x, y = _inputs(x, y)
@@ -271,16 +271,21 @@ def regression_problem(x, y) -> Problem:
 
 def quadratic_problem(x, weights, linear) -> Problem:
     """(1/sum_i w_i) sum_i [w_i g(x_i)^2 - 2 q_i g(x_i)]; see
-    `fit_weighted_quadratic`."""
+    `fit_weighted_quadratic`. A negative weight, or weights whose total is
+    ~0, raise ParameterError."""
     x, w, q = _inputs(x, weights, linear)
+    if (w < 0.0).any():
+        raise ParameterError("sample weights must be non-negative")
     n = x.shape[0]
-    abs_w, total = _weight_mass(w)
+    total = w.sum()
+    if total < 1e-12:
+        raise ParameterError("sample weights are all ~0; objective is undefined")
     # Center at the weighted level and scale by the RMS of the centred
     # linear term per unit of weight; neither divides by an individual
     # weight. With unit weights these are the target's mean and SD.
     m = float(q.sum() / total)
     q_c = q - m * w
-    s = float(np.sqrt(np.sum(q_c**2) / abs_w.sum()))
+    s = float(np.sqrt(np.sum(q_c**2) / total))
     if s < 1e-12:
         s = 1.0
     x_std = _Standardizer.fit(x)

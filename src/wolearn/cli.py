@@ -3,9 +3,10 @@
 All commands take an experiment spec (JSON file via --spec, individual
 fields overridable on the command line; overrides win). A spec pins the
 generator configuration, the learner list, an optional sweep axis with its
-grid (a subset of the axis's reference grid), the seed list, and estimator
-flags; it is checked when built, and a spec file with an unknown key is
-rejected.
+grid (a subset of the axis's reference grid), the seed list, the
+propensity floor and the history window; it is checked when built, and a
+spec file with an unknown key is rejected. The second stage always clamps
+rho at zero, so no setting selects its weighting.
 `_run_cell` (`learners.run_experiment`) scores every cell: `run` writes
 one cell's artifacts from its record, and `run_cells` runs a spec's cells
 in spawned workers for `sweep` and the acceptance suite. Sweeps write one
@@ -29,10 +30,9 @@ import click
 import numpy as np
 
 from . import dgp, verify
-from .core import ParameterError, check_floor, check_int, check_window
+from .core import ParameterError, check_floor, check_int, check_real, check_window
 from .learners import LEARNERS, run_experiment
 from .nuisance import PROPENSITY_FLOOR
-from .pseudo import PseudoConfig
 
 # Grids the reference experiments cover; sweep values outside these are
 # rejected.
@@ -58,24 +58,29 @@ class ExperimentSpec:
     seeds: tuple = (0, 1, 2, 3, 4)
     out_dir: str = "runs"
     floor: float = PROPENSITY_FLOOR
-    clamp_rho: bool = False
     window: object = "full"  # "full" or an integer step count
 
     def __post_init__(self):
         # an integer axis's grid, the seeds and the window become ints, and
         # every grid value's DgpConfig is built and its T bounds the window,
         # so a bad spec fails before any cell runs; a string is not a list,
-        # so it is never split into characters
+        # so it is never split into characters; a name that is not a string
+        # fails by its field, not as an unhashable dict key
+        for name in ("kind", "axis", "out_dir"):
+            if not isinstance(getattr(self, name), str):
+                raise ParameterError(f"{name} must be a string, not {getattr(self, name)!r}")
         for name in ("learners", "grid", "seeds"):
             if not isinstance(getattr(self, name), (list, tuple)):
                 raise ParameterError(f"{name} must be a list, not {getattr(self, name)!r}")
+        if not all(isinstance(name, str) for name in self.learners):
+            raise ParameterError(f"learners {list(self.learners)} must be names (strings)")
         if not isinstance(self.dgp, dict) or "kind" in self.dgp:
             raise ParameterError(f"dgp must be an object of generator settings without "
                                  f"'kind' (the spec's own field), not {self.dgp!r}")
         integer_axis = self.axis in AXIS_GRIDS and all(isinstance(v, int)
                                                        for v in AXIS_GRIDS[self.axis])
-        object.__setattr__(self, "grid", tuple(check_int(v, "grid") if integer_axis else v
-                                               for v in self.grid))
+        object.__setattr__(self, "grid", tuple(check_int(v, "grid") if integer_axis
+                                               else check_real(v, "grid") for v in self.grid))
         object.__setattr__(self, "learners", tuple(self.learners))
         object.__setattr__(self, "seeds", tuple(check_int(s, "seeds", 0) for s in self.seeds))
         if self.window != "full":
@@ -89,7 +94,6 @@ class ExperimentSpec:
         if len(set(self.grid)) < len(self.grid):
             raise ParameterError(f"grid {list(self.grid)} repeats a value")
         check_floor(self.floor)
-        PseudoConfig(clamp_rho=self.clamp_rho)  # rejects a non-bool clamp_rho
         unknown = set(self.learners) - set(LEARNERS + ("ipw_nofloor",))
         if unknown:
             raise ParameterError(f"unknown learner(s) {sorted(unknown)}")
@@ -106,10 +110,6 @@ class ExperimentSpec:
                     f"grid values {bad} outside the reference grid for {self.axis!r}")
         for value in self.grid if self.axis != "none" else (None,):
             check_window(self.window, self.config_for(value).T)
-
-    @property
-    def pseudo_config(self) -> PseudoConfig:
-        return PseudoConfig(clamp_rho=self.clamp_rho)
 
     def config_for(self, axis_value=None) -> dgp.DgpConfig:
         over = dict(self.dgp)
@@ -162,8 +162,6 @@ _SPEC_OPTIONS = [
     click.option("--out-dir", "out_dir", default=None),
     click.option("--floor", type=float, default=None,
                  help="Two-sided propensity floor applied at evaluation."),
-    click.option("--clamp-rho", "clamp_rho", is_flag=True, default=None,
-                 help="Clamp negative rho weights to zero in the second stage."),
     click.option("--window", default=None,
                  help='History feature window: "full" or a step count.'),
 ]
@@ -201,8 +199,7 @@ def _run_cell(spec: ExperimentSpec, axis_value, seed):
     """One (grid value, seed) cell; pure function of its arguments."""
     config = spec.config_for(None if spec.axis == "none" else axis_value)
     t0 = time.perf_counter()
-    result = run_experiment(config, seed=seed, learners=spec.learners,
-                            pseudo_config=spec.pseudo_config, window=spec.window,
+    result = run_experiment(config, seed=seed, learners=spec.learners, window=spec.window,
                             floor=spec.floor)
     result["cell_seconds"] = time.perf_counter() - t0
     return result

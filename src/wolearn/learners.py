@@ -6,7 +6,8 @@ pseudo-outcome on history features:
 
   wo   overlap-weighted orthogonal learner: split the data, fit nuisances
        on one half, build (rho, q) on the other, minimize the weighted
-       risk sum_i [rho_i g(H_t,i)^2 - 2 q_i g(H_t,i)] / sum_i rho_i;
+       risk sum_i [rho_i g(H_t,i)^2 - 2 q_i g(H_t,i)] / sum_i rho_i over
+       the units with rho_i > 0;
   dr   unweighted regression on the doubly-robust contrast gamma^{ab};
   ipw  regression on the inverse-propensity transform;
   ra   distillation of the plug-in response contrast mu_t^a - mu_t^b;
@@ -29,7 +30,7 @@ from . import backbone
 from .core import (Dataset, InterventionPlan, ParameterError, always_treat, feature_matrix,
                    never_treat, split_dataset)
 from .nuisance import PROPENSITY_FLOOR, _child_seed, fit_nuisances
-from .pseudo import PseudoConfig, PseudoOutcomes, cate_pseudo, ipw_transform, risk_linear_term
+from .pseudo import PseudoOutcomes, cate_pseudo, ipw_transform, risk_linear_term
 
 LEARNERS = ("wo", "dr", "ipw", "ra", "ha")
 
@@ -119,16 +120,14 @@ def _with_plan(feats: np.ndarray, plan: InterventionPlan) -> np.ndarray:
     return np.concatenate([feats, cols], axis=1)
 
 
-def train_wo(cell: Cell, hp=backbone.Hyperparameters(),
-             pseudo_config: PseudoConfig = PseudoConfig(), seed=0) -> CateModel:
-    """Second stage of the overlap-weighted orthogonal learner."""
+def train_wo(cell: Cell, hp=backbone.Hyperparameters(), seed=0) -> CateModel:
+    """Second stage of the overlap-weighted orthogonal learner. A unit with
+    rho <= 0 gets weight and linear term 0 (see `pseudo`), so every weight
+    is non-negative."""
     po = cell.pseudo
-    weights = po.rho
-    linear = risk_linear_term(po)
-    if pseudo_config.clamp_rho:
-        keep = po.rho > 0.0
-        weights = np.where(keep, po.rho, 0.0)
-        linear = np.where(keep, linear, 0.0)
+    keep = po.rho > 0.0
+    weights = np.where(keep, po.rho, 0.0)
+    linear = np.where(keep, risk_linear_term(po), 0.0)
     net = backbone.fit_weighted_quadratic(cell.stage2_features, weights, linear,
                                           hp=replace(hp, dropout=STAGE2_DROPOUT),
                                           seed=_child_seed(seed, 0x10, 0))
@@ -169,9 +168,11 @@ def _train_ha(cell: Cell, hp, seed) -> CateModel:
 
 
 def train_learner(cell: Cell, name: str, hp=backbone.Hyperparameters(),
-                  pseudo_config=PseudoConfig(), seed=0) -> CateModel:
+                  pseudo_config=None, seed=0) -> CateModel:
+    """`train_wo` or `train_baseline` by name. `pseudo_config` is kept for
+    the benchmark, which passes a `PseudoConfig`; it is not read."""
     if name == "wo":
-        return train_wo(cell, hp=hp, pseudo_config=pseudo_config, seed=seed)
+        return train_wo(cell, hp=hp, seed=seed)
     return train_baseline(cell, name, hp=hp, seed=seed)
 
 
@@ -198,7 +199,7 @@ def build_cell(config, seed=0, hp=backbone.Hyperparameters(), window="full",
 
 
 def run_experiment(config, seed=0, learners=LEARNERS, hp=backbone.Hyperparameters(),
-                   pseudo_config=PseudoConfig(), window="full", floor=PROPENSITY_FLOOR):
+                   window="full", floor=PROPENSITY_FLOOR):
     """One full cell: build it, fit every learner, score against ground
     truth. Returns {"seed": seed, "rmse": {learner: rmse}, "seconds": {learner:
     training and scoring time}, "models": {learner: CateModel}, "pseudo":
@@ -208,7 +209,7 @@ def run_experiment(config, seed=0, learners=LEARNERS, hp=backbone.Hyperparameter
               "pseudo": cell.pseudo, "ids": cell.stage2.ids}
     for name in learners:
         t0 = time.perf_counter()
-        model = train_learner(cell, name, hp=hp, pseudo_config=pseudo_config, seed=seed)
+        model = train_learner(cell, name, hp=hp, seed=seed)
         result["models"][name] = model
         result["rmse"][name] = evaluate_rmse(model, test, truth)
         result["seconds"][name] = time.perf_counter() - t0

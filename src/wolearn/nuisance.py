@@ -39,7 +39,7 @@ import numpy as np
 from . import backbone
 from .core import Dataset, InterventionPlan, ParameterError, check_floor, feature_matrix
 
-PROPENSITY_FLOOR = 1e-3
+PROPENSITY_FLOOR = 0.05  # the default floor of a cell, as the acceptance criteria use it
 WEIGHT_CLAMP = (0.0, 1.0)  # tail weights are probabilities; never divided by
 MIN_FIT_UNITS = 10
 

@@ -23,9 +23,14 @@ The second stage minimizes the overlap-weighted risk in its product form
 
 whose coefficients rho and q (`risk_linear_term`) stay bounded wherever
 the nuisances do. The ratio target q / rho is never formed, so no
-denominator needs a guard. At tau = 0 with complementary arms rho^{ab} =
-(A_t - pi_t)^2 and q = (Y - m)(A_t - pi_t), with m = pi_t mu^a + (1 - pi_t)
-mu^b: the objective is the R-learner's residual-on-residual loss.
+denominator needs a guard. rho is conditionally unbiased for omega >= 0,
+but single draws go negative, and a negative weight gives the empirical
+objective a direction of negative curvature that a flexible second stage
+exploits; so the second stage (`learners.train_wo`) always zeroes both
+coefficients of a unit with rho <= 0. At tau = 0 with complementary arms
+rho^{ab} = (A_t - pi_t)^2 and q = (Y - m)(A_t - pi_t), with m = pi_t mu^a
++ (1 - pi_t) mu^b: the objective is the R-learner's residual-on-residual
+loss.
 """
 
 from __future__ import annotations
@@ -41,17 +46,16 @@ from .nuisance import NuisanceEvaluation
 
 @dataclass(frozen=True)
 class PseudoConfig:
-    # Clamp negative rho to zero when used as second-stage weights. rho is
-    # conditionally unbiased for omega >= 0 but individual draws go
-    # negative; negative weights make the empirical weighted objective
-    # non-convex (directions of negative curvature), which a flexible
-    # second stage will exploit.
-    clamp_rho: bool = False
+    """Kept for the benchmark, which passes `PseudoConfig(clamp_rho=True)`
+    to `learners.train_learner`; nothing reads it. The second stage always
+    clamps rho at zero, so any other value is refused."""
+
+    clamp_rho: bool = True
 
     def __post_init__(self):
-        # a truthy string such as "false" would otherwise clamp
-        if not isinstance(self.clamp_rho, bool):
-            raise ParameterError(f"clamp_rho: {self.clamp_rho!r} is not a bool")
+        if self.clamp_rho is not True:
+            raise ParameterError(f"clamp_rho: {self.clamp_rho!r}; the unclamped weighting is "
+                                 "gone, the second stage always clamps rho at zero")
 
 
 @dataclass

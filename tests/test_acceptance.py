@@ -2,10 +2,11 @@
 
 Each numbered test exercises one acceptance criterion at its stated
 tolerance and emits one [PASS]/[FAIL] line (collected into the pytest
-terminal summary). The experiment configuration is fixed up front:
-clamp-at-zero rho weights, a 0.05 evaluation-time propensity floor, five
-seeds per cell, full-history features for the short (T=5) panels and the
-exact Markov window for the long (T=15) panels.
+terminal summary). The experiment configuration is fixed up front: the
+package's estimator (its second stage always clamps rho at zero), a 0.05
+evaluation-time propensity floor (the package default, pinned here),
+five seeds per cell, full-history features for the short (T=5) panels and
+the exact Markov window for the long (T=15) panels.
 """
 
 import numpy as np
@@ -17,12 +18,10 @@ from wolearn.backbone import gradient_check
 from wolearn.cli import ExperimentSpec, run_cells
 from wolearn.core import always_treat, never_treat, split_dataset
 from wolearn.learners import prepare_cell, run_experiment
-from wolearn.pseudo import PseudoConfig
 
-# Fixed experiment configuration: clamp-at-zero rho weights, a 0.05
-# evaluation-time propensity floor, full-history features for the short
-# (T=5) panels and the exact Markov window for the long (T=15) panels.
-PSEUDO = PseudoConfig(clamp_rho=True)
+# Fixed experiment configuration: a 0.05 evaluation-time propensity floor,
+# full-history features for the short (T=5) panels and the exact Markov
+# window for the long (T=15) panels.
 FLOOR = 0.05
 SEEDS = (0, 1, 2, 3, 4)
 BASELINES = ("dr", "ipw", "ra", "ha")
@@ -41,7 +40,7 @@ def _sweep(kind, axis, grid, learners, window):
     # The sweep runs through the command line's own cell runner, two workers;
     # each learner's RMSE is averaged over the seeds in seed order.
     spec = ExperimentSpec(kind=kind, axis=axis, grid=grid, learners=learners, window=window,
-                          seeds=SEEDS, floor=FLOOR, clamp_rho=True)
+                          seeds=SEEDS, floor=FLOOR)
     results, failures = run_cells(spec, 2)
     assert not failures, failures
     return {value: {k: float(np.mean([results[value, seed]["rmse"][k] for seed in SEEDS]))
@@ -195,7 +194,7 @@ class TestCriterion9Engineering:
         d1, d2 = dgp.simulate(cfg, seed=11), dgp.simulate(cfg, seed=11)
         sim_ok = (np.array_equal(d1.x, d2.x) and np.array_equal(d1.a, d2.a)
                   and np.array_equal(d1.y, d2.y))
-        kw = dict(floor=FLOOR, window=1, pseudo_config=PSEUDO)
+        kw = dict(floor=FLOOR, window=1)
         r1 = run_experiment(cfg, seed=0, learners=("wo", "ra"), **kw)
         r2 = run_experiment(cfg, seed=0, learners=("wo", "ra"), **kw)
         run_ok = r1["rmse"] == r2["rmse"]  # the seconds are wall times

@@ -159,14 +159,13 @@ class TestWeightedQuadratic:
         p2 = fit_weighted_quadratic(x, w, q, hp=FAST).predict(x)
         np.testing.assert_array_equal(p1, p2)
 
-    def test_cancelling_weights_normalized_by_absolute_mass(self):
-        # signed weights whose net sum is near 0 would blow up the scale
-        rng = np.random.default_rng(9)
-        x = rng.normal(size=(100, 1))
-        w = np.tile([1.0, -1.0], 50)
-        w[0] += 1e-3
-        problem = quadratic_problem(x, w, rng.normal(size=100))
-        np.testing.assert_allclose(problem.columns[0], w * 100 / np.abs(w).sum())
+    def test_negative_weight_rejected_before_training(self, no_training):
+        # the second stage clamps rho at zero, so a negative weight is a
+        # caller's fault, not a draw to normalize away
+        w = np.ones(20)
+        w[3] = -0.5
+        with pytest.raises(ParameterError, match="non-negative"):
+            fit_weighted_quadratic(np.zeros((20, 1)), w, np.zeros(20))
 
     def test_linear_term_proportional_to_weights(self):
         # q = 2 w centres to exactly 0, leaving no spread to scale by
@@ -186,12 +185,13 @@ class TestWeightedQuadratic:
 
 def _stack_inputs(ns, d=3):
     """Per member k of a stack, n_k = ns[k] rows of inputs, binary labels,
-    targets and signed weights (for the quadratic)."""
+    targets and non-negative weights (for the quadratic), about a third of
+    them 0 as the second stage's clamp leaves them."""
     rng = np.random.default_rng(8)
     xs = [rng.normal(size=(n, d)) for n in ns]
     labels = [(rng.uniform(size=n) < 0.4).astype(float) for n in ns]
     targets = [rng.normal(size=n) for n in ns]
-    weights = [rng.normal(0.3, 1.0, size=n) for n in ns]
+    weights = [np.maximum(rng.normal(0.3, 1.0, size=n), 0.0) for n in ns]
     return xs, labels, targets, weights
 
 
@@ -358,6 +358,29 @@ class TestNetworkIO:
         back = Network.load(path)
         np.testing.assert_array_equal(back.predict(x), net.predict(x))
         assert back.task == "regression"
+
+    @pytest.mark.parametrize("fault, match", [
+        # used to load, and predict gave sigmoid outputs for a regression
+        ({"task": np.array("regresion")}, "task 'regresion'"),
+        # each used to raise a bare KeyError naming no file
+        ({"x_mean": None}, "'x_mean'"),
+        ({"b1": None}, "'b1'"),
+        ({"task": None}, "'task'"),
+    ])
+    def test_bad_checkpoint_named(self, tmp_path, fault, match):
+        x = np.random.default_rng(7).normal(size=(50, 2))
+        path = tmp_path / "model.npz"
+        fit_regressor(x, x[:, 0], hp=Hyperparameters(hidden=(4,), epochs=1)).save(path)
+        with np.load(path) as z:
+            arrays = {k: z[k] for k in z.files}
+        for key, value in fault.items():
+            if value is None:
+                del arrays[key]
+            else:
+                arrays[key] = value
+        np.savez(path, **arrays)
+        with pytest.raises(ParameterError, match=f"checkpoint .*model.npz: .*{match}"):
+            Network.load(path)
 
 
 class TestHyperparameters:

@@ -29,7 +29,8 @@ class TestExperimentSpec:
         s1 = ExperimentSpec(**TINY)
         s2 = ExperimentSpec(**TINY)
         assert s1.hash == s2.hash
-        assert ExperimentSpec(**{**TINY, "floor": 0.05}).hash != s1.hash
+        assert s1.floor == 0.05  # the acceptance criteria's floor
+        assert ExperimentSpec(**{**TINY, "floor": 0.1}).hash != s1.hash
 
     def test_empty_learners_rejected(self):
         with pytest.raises(ParameterError):
@@ -50,11 +51,6 @@ class TestExperimentSpec:
         spec = ExperimentSpec(**{**TINY, "axis": "gamma", "grid": [2.0, 4.0]})
         assert spec.config_for(4.0).gamma == 4.0
         assert spec.config_for(4.0).n_train == 200
-
-    def test_pseudo_config_flags(self):
-        spec = ExperimentSpec(**{**TINY, "clamp_rho": True})
-        assert spec.pseudo_config.clamp_rho
-        assert not ExperimentSpec(**TINY).pseudo_config.clamp_rho
 
     def test_bad_generator_settings_fail_when_built(self):
         with pytest.raises(ParameterError, match="unknown generator setting"):
@@ -93,7 +89,8 @@ class TestExperimentSpec:
         ({"dgp": {"T": 2.5}}, "T"),
         ({"window": True}, "window"),  # a JSON true is not the step count 1
         ({"floor": "0.05"}, "floor"),  # used to raise a bare TypeError
-        ({"clamp_rho": 1}, "clamp_rho"),  # used to clamp, as any truthy value did
+        # each used to raise a bare TypeError: unhashable type: 'list'
+        ({"kind": ["gamma"]}, "kind"),
         # each used to raise a bare TypeError
         ({"dgp": {"kind": "pi"}}, "dgp"),
         ({"dgp": [1]}, "dgp"),
@@ -106,12 +103,17 @@ class TestExperimentSpec:
         ({"kind": "n", "axis": "gamma", "grid": [2.0, 4.0]}, "gamma=2.0 .*kind 'n'"),
         # the cell used to train wo twice and keep the second fit
         ({"learners": ["wo", "wo", "ra"]}, "repeat a learner"),
+        ({"axis": ["gamma"]}, "axis"),
+        ({"learners": [["wo"]]}, "learners"),
+        ({"axis": "gamma", "grid": [[2.0]]}, "grid"),
+        # run used to train the whole cell before Path(5) raised
+        ({"out_dir": 5}, "out_dir"),
     ])
     def test_faults_fail_when_built(self, fault, match):
         with pytest.raises(ParameterError, match=match):
             ExperimentSpec(**{**TINY, **fault})
 
-    @pytest.mark.parametrize("key", ["lam", "allow_off_grid", "windw"])
+    @pytest.mark.parametrize("key", ["lam", "allow_off_grid", "windw", "clamp_rho"])
     def test_unknown_spec_file_key_rejected(self, tmp_path, key):
         # spec files that set a removed field fail by name, not with TypeError
         spec_file = tmp_path / "spec.json"
@@ -140,15 +142,6 @@ class TestExperimentSpec:
         with pytest.raises(ParameterError, match=match):
             _load_spec(spec_file, dgp=dgp)
 
-    def test_spec_file_clamp_rho_must_be_bool(self, tmp_path):
-        # the string "false" is truthy, so it used to clamp
-        spec_file = tmp_path / "spec.json"
-        spec_file.write_text(json.dumps({**TINY, "clamp_rho": "false"}))
-        with pytest.raises(ParameterError, match="clamp_rho"):
-            _load_spec(spec_file)
-        spec_file.write_text(json.dumps({**TINY, "clamp_rho": False}))
-        assert _load_spec(spec_file).pseudo_config.clamp_rho is False
-
     def test_window_normalized(self):
         as_str = ExperimentSpec(**{**TINY, "window": "1"})
         as_int = ExperimentSpec(**{**TINY, "window": 1})
@@ -165,6 +158,16 @@ def test_negative_seed_is_a_usage_error_before_any_output(tmp_path, command):
     with runner.isolated_filesystem(temp_dir=tmp_path) as cwd:
         result = runner.invoke(main, [command, "--seed", "-1"])
         assert result.exit_code == 2 and "--seed" in result.output
+        assert not list(Path(cwd).iterdir())
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_clamp_rho_flag_is_a_usage_error(tmp_path, command):
+    # the second stage always clamps, so no flag selects the weighting
+    runner = CliRunner()
+    with runner.isolated_filesystem(temp_dir=tmp_path) as cwd:
+        result = runner.invoke(main, [command, "--clamp-rho"])
+        assert result.exit_code == 2 and "--clamp-rho" in result.output
         assert not list(Path(cwd).iterdir())
 
 
@@ -234,8 +237,7 @@ class TestRunCommand:
         assert result.exit_code == 0, result.output
         metrics = json.loads((tmp_path / "n_seed0" / "metrics.json").read_text())["metrics"]
         expect = run_experiment(spec.config_for(), seed=0, learners=spec.learners,
-                                pseudo_config=spec.pseudo_config, window=spec.window,
-                                floor=spec.floor)["rmse"]
+                                window=spec.window, floor=spec.floor)["rmse"]
         assert {m["learner"]: m["rmse"] for m in metrics} == expect
 
     def test_checkpoints_predict_as_the_record_models(self, tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from wolearn.learners import (
     train_learner,
     train_wo,
 )
-from wolearn.nuisance import fit_nuisances
+from wolearn.nuisance import PROPENSITY_FLOOR, fit_nuisances
 from wolearn.pseudo import PseudoConfig, cate_pseudo, risk_linear_term
 
 FAST = Hyperparameters(hidden=(8,), epochs=40)
@@ -103,8 +105,9 @@ class TestPrepareCell:
 
     def test_raw_propensities_unfloored(self):
         _, _, cell = _small_cell(gamma=6.5)
-        assert cell.ev_a.pi.min() >= 1e-3
-        assert cell.ev_a_raw.pi.min() < cell.ev_a.pi.min() + 1e-12
+        # the default floor is 0.05, and it binds in the never-treat arm
+        assert cell.ev_b.pi.min() == PROPENSITY_FLOOR == 0.05
+        assert cell.ev_b_raw.pi.min() < PROPENSITY_FLOOR
 
 
 class TestTraining:
@@ -132,12 +135,29 @@ class TestTraining:
         assert not np.array_equal(p1, p3)
 
     def test_clamp_rho_drops_negative_weight_units(self):
+        # a unit with rho <= 0 gets weight and linear term 0, so its gamma
+        # and mu cannot move the fit
         _, data, cell = _small_cell(gamma=4.0, n=1000)
-        po = cate_pseudo(cell.ev_a, cell.ev_b, cell.y_final)
+        po, test = cell.pseudo, data.subset(np.arange(10))
+        drop = po.rho <= 0.0
         assert (po.rho < 0).any()  # poor overlap produces negative draws
-        model = train_learner(cell, "wo", hp=FAST,
-                              pseudo_config=PseudoConfig(clamp_rho=True), seed=0)
-        assert np.isfinite(model.predict(data.subset(np.arange(10)))).all()
+        before = train_wo(cell, hp=FAST, seed=0).predict(test)
+        cell.pseudo = replace(po, gamma=np.where(drop, 1e3, po.gamma),
+                              mu=np.where(drop, -1e3, po.mu))
+        np.testing.assert_array_equal(train_wo(cell, hp=FAST, seed=0).predict(test), before)
+
+    def test_benchmark_pseudo_config_is_not_read(self):
+        # the benchmark passes PseudoConfig(clamp_rho=True); no other value exists
+        _, data, cell = _small_cell()
+        test = data.subset(np.arange(10))
+        with_config = train_learner(cell, "wo", hp=FAST,
+                                    pseudo_config=PseudoConfig(clamp_rho=True), seed=0)
+        np.testing.assert_array_equal(with_config.predict(test),
+                                      train_wo(cell, hp=FAST, seed=0).predict(test))
+        assert PseudoConfig().clamp_rho is True
+        for value in (False, 1, "true"):
+            with pytest.raises(ParameterError, match="unclamped weighting is gone"):
+                PseudoConfig(clamp_rho=value)
 
     def test_ha_plan_feature_differencing(self):
         _, data, cell = _small_cell()

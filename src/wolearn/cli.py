@@ -23,7 +23,7 @@ import json
 import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import click
@@ -228,10 +228,12 @@ def run_cells(spec: ExperimentSpec, workers: int):
 @click.option("--seed", type=click.IntRange(min=0), default=0)
 def run(spec_path, seed, **overrides):
     """Score one cell with the sweep's `_run_cell`, then write its record's
-    metrics JSON, pseudo-outcome CSV and model checkpoints."""
+    metrics JSON, pseudo-outcome CSV and model checkpoints. The spec it
+    scores and writes names only `--seed`, so its hash differs per seed."""
     spec = _load_spec(spec_path, **overrides)
     if spec.axis != "none":
         raise click.UsageError("run trains one cell and takes no sweep axis; use `sweep`")
+    spec = replace(spec, seeds=(seed,))
     result = _run_cell(spec, None, seed)
     out = Path(spec.out_dir) / f"{spec.kind}_seed{seed}"
     out.mkdir(parents=True, exist_ok=True)

@@ -365,8 +365,8 @@ def exact_cate(config: DgpConfig, state: State, plan_a: InterventionPlan, plan_b
 
 def test_set_truth(config: DgpConfig, data: Dataset, anchor: int, plan_a, plan_b, m=10000, seed=0):
     """Ground-truth CATE per test trajectory at the anchor: `exact_cate` on
-    the anchor states. `m` and `seed` are unused; they remain so that
-    callers written for a Monte Carlo truth keep working."""
+    the anchor states. Kept for the benchmark, which still calls it (with
+    the unused `m` and `seed` of a Monte Carlo truth); the package does not."""
     return exact_cate(config, State.from_dataset(data, anchor), plan_a, plan_b)
 
 

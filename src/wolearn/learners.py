@@ -193,7 +193,7 @@ def build_cell(config, seed=0, hp=backbone.Hyperparameters(), window="full",
     plan_a, plan_b = always_treat(t, tau), never_treat(t, tau)
     train = dgp.simulate(config, seed=seed)
     test = dgp.simulate(config, seed=_child_seed(seed, 0x7E, 0), n=config.n_test)
-    truth = dgp.test_set_truth(config, test, t, plan_a, plan_b)
+    truth = dgp.exact_cate(config, dgp.State.from_dataset(test, t), plan_a, plan_b)
     cell = prepare_cell(train, plan_a, plan_b, hp=hp, seed=seed, window=window, floor=floor)
     return cell, test, truth
 

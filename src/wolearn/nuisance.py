@@ -20,11 +20,12 @@ the nuisance split and later evaluated on held-out data:
 the propensities of every time as one stack that the plans share, the
 plans' response recursions in lockstep (one stack per time j, whose members
 are the plans' regressions on their own arms' subsamples, of different n),
-and every plan's tail weights as one stack. The response and tail-weight
-fits return one mapping {(k, j): network} over plan index k and time j;
-each network is bitwise the one a lone fit with its seed gives. A treatment
-that is constant at a plan step, or a plan step that fewer than
-MIN_FIT_UNITS units take, raises ParameterError before any network trains.
+and every plan's tail weights as one stack. Each family returns a bare
+{key: network}, keyed by time j (propensities) or by plan index k and time
+j (responses, tail weights); each network is bitwise the one a lone fit
+with its seed gives. A treatment that is constant at a plan step, or a
+plan step that fewer than MIN_FIT_UNITS units take, raises ParameterError
+before any network trains.
 
 Propensities are floored at evaluation time (never during fitting) and the
 overlap weight is omega_t = pi_t * W_{t+1}.
@@ -153,29 +154,27 @@ def fit_response_models(data: Dataset, plans, hp=backbone.Hyperparameters(), win
     """The plans' backward recursions of plan-conditional responses, run in
     lockstep: at each time j one stack holds every plan whose span covers j,
     each member fitted on the units taking that plan's treatment at j, so
-    the members' n differ. Returns ({(k, j): regressor} for plan index k,
-    provenance log of per-stage subsample sizes). A step with fewer than
-    MIN_FIT_UNITS units taking a plan's treatment raises ParameterError
-    before any network trains."""
+    the members' n differ. Returns {(k, j): regressor} for plan index k, in
+    fitting order (latest time first). A step with fewer than MIN_FIT_UNITS
+    units taking a plan's treatment raises ParameterError before any
+    network trains."""
     for plan in plans:
         _check_support(data, plan)
-    models, log = {}, []
+    models = {}
     targets = [data.y[:, plan.end] for plan in plans]
     for j in sorted({j for plan in plans for j in range(plan.start, plan.end + 1)}, reverse=True):
         members = [k for k, plan in enumerate(plans) if plan.start <= j <= plan.end]
         feats = feature_matrix(data, j, window=window)
         problems = []
         for k in members:
-            a_j = plans[k].values[j - plans[k].start]
-            sel = data.a[:, j] == a_j
-            log.append({"plan": k, "time": j, "arm": a_j, "n_fit": int(sel.sum())})
+            sel = data.a[:, j] == plans[k].values[j - plans[k].start]
             problems.append(backbone.regression_problem(feats[sel], targets[k][sel]))
         seeds = [_child_seed(seed, 0xB, j)] * len(members)
         for k, model in zip(members, backbone.fit_stack(problems, hp, seeds)):
             models[k, j] = model
             if j > plans[k].start:
                 targets[k] = model.predict(feats)  # the plan's next stage regresses this
-    return models, log
+    return models
 
 
 def fit_weight_models(data: Dataset, plans, propensity_models, hp=backbone.Hyperparameters(),
@@ -216,7 +215,7 @@ def fit_nuisances(data: Dataset, plans, hp=backbone.Hyperparameters(), window="f
         _check_support(data, plan)
     t, end = min(p.start for p in plans), max(p.end for p in plans)
     propensity_models = fit_propensity_models(data, t, end - t, hp=hp, window=window, seed=seed)
-    responses, _ = fit_response_models(data, plans, hp=hp, window=window, seed=seed)
+    responses = fit_response_models(data, plans, hp=hp, window=window, seed=seed)
     weights = fit_weight_models(data, plans, propensity_models, hp=hp, window=window, seed=seed)
     return [FittedNuisances(plan, propensity_models,
                             {j: responses[k, j] for j in range(plan.start, plan.end + 1)},

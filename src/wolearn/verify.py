@@ -397,20 +397,16 @@ def check_r_learner_reduction(seed=0, n=4000, m=100000, n_histories=10,
     )
 
 
+# Every structural check in report order, with its `fast` sizes.
+_CHECKS = {
+    check_conditional_mean_gamma: dict(n_histories=10, m=4000),
+    check_conditional_mean_rho: dict(n_histories=10, m=4000),
+    check_risk_equivalence: dict(n=40000),
+    check_orthogonality: dict(n=40000),
+    check_r_learner_reduction: dict(n=1000, m=20000, n_histories=5),
+}
+
+
 def verify_all(seed=0, fast=False):
     """Run every structural check; `fast` shrinks the Monte Carlo sizes."""
-    if fast:
-        return [
-            check_conditional_mean_gamma(seed=seed, n_histories=10, m=4000),
-            check_conditional_mean_rho(seed=seed, n_histories=10, m=4000),
-            check_risk_equivalence(seed=seed, n=40000),
-            check_orthogonality(seed=seed, n=40000),
-            check_r_learner_reduction(seed=seed, n=1000, m=20000, n_histories=5),
-        ]
-    return [
-        check_conditional_mean_gamma(seed=seed),
-        check_conditional_mean_rho(seed=seed),
-        check_risk_equivalence(seed=seed),
-        check_orthogonality(seed=seed),
-        check_r_learner_reduction(seed=seed),
-    ]
+    return [check(seed=seed, **(sizes if fast else {})) for check, sizes in _CHECKS.items()]

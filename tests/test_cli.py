@@ -227,6 +227,24 @@ class TestRunCommand:
         assert len(rows) == 100  # stage-2 half of n_train = 200
         assert list(rows[0]) == ["id", "gamma", "rho", "omega", "mu"]
 
+    def test_metrics_name_the_seed_that_ran(self, tmp_path):
+        # the spec in metrics.json is the one scored: its seeds are [--seed]
+        # and its hash tells seeds apart, whatever seeds the spec file lists
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({**TINY, "seeds": [0, 1, 2], "out_dir": str(tmp_path)}))
+        written = {}
+        for seed in (0, 1):
+            result = CliRunner().invoke(main, ["run", "--spec", str(spec_file),
+                                               "--seed", str(seed)])
+            assert result.exit_code == 0, result.output
+            written[seed] = json.loads((tmp_path / f"gamma_seed{seed}" / "metrics.json")
+                                       .read_text())
+            assert written[seed]["spec"]["seeds"] == [seed]
+            assert {m["seed"] for m in written[seed]["metrics"]} == {seed}
+        assert written[0]["spec_hash"] != written[1]["spec_hash"]
+        expect = replace(ExperimentSpec(**{**TINY, "out_dir": str(tmp_path)}), seeds=(1,))
+        assert written[1]["spec_hash"] == expect.hash
+
     def test_scores_equal_run_experiment(self, tmp_path):
         # run and sweep must score one seed's cell the same way, so the
         # RMSEs are equal, not close.

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wolearn import dgp, verify
+from wolearn import backbone, dgp, verify
 from wolearn.backbone import Hyperparameters
 from wolearn.core import Dataset, ParameterError, always_treat, never_treat
 from wolearn.dgp import DgpConfig, simulate
@@ -17,7 +17,7 @@ from wolearn.learners import (
     train_learner,
     train_wo,
 )
-from wolearn.nuisance import PROPENSITY_FLOOR, fit_nuisances
+from wolearn.nuisance import PROPENSITY_FLOOR, _child_seed, fit_nuisances
 from wolearn.pseudo import PseudoConfig, cate_pseudo, risk_linear_term
 
 FAST = Hyperparameters(hidden=(8,), epochs=40)
@@ -120,6 +120,29 @@ class TestTraining:
             pred = model.predict(test)
             assert pred.shape == (30,) and np.isfinite(pred).all()
 
+    def test_each_learner_fits_with_its_own_seed(self, monkeypatch):
+        # Pinned by value: train_baseline derives the index from
+        # LEARNERS.index, so a reorder of LEARNERS would reseed the baselines.
+        seeds = []
+
+        def recording(fit):
+            def wrapped(*args, seed, **kwargs):
+                seeds.append(seed)
+                return fit(*args, seed=seed, **kwargs)
+            return wrapped
+
+        for name in ("fit_regressor", "fit_weighted_quadratic"):
+            monkeypatch.setattr(backbone, name, recording(getattr(backbone, name)))
+        _, _, cell = _small_cell()
+        s = 7
+        expect = {"wo": _child_seed(s, 0x10, 0), "dr": _child_seed(s, 0x11, 1),
+                  "ipw": _child_seed(s, 0x11, 2), "ra": _child_seed(s, 0x11, 3),
+                  "ipw_nofloor": _child_seed(s, 0x11, 2), "ha": _child_seed(s, 0x12, 0)}
+        for name, seed in expect.items():
+            seeds.clear()
+            train_learner(cell, name, hp=replace(FAST, epochs=1), seed=s)
+            assert seeds == [seed], name
+
     def test_unknown_learner(self):
         _, _, cell = _small_cell()
         with pytest.raises(ParameterError):
@@ -178,8 +201,8 @@ class TestRiskProperties:
         po = cate_pseudo(ev_a, ev_b, y_final)
         q = risk_linear_term(po)
         t = cfg.eval_anchor
-        truth = dgp.test_set_truth(cfg, data, t, always_treat(t, cfg.tau),
-                                   never_treat(t, cfg.tau))
+        truth = dgp.exact_cate(cfg, dgp.State.from_dataset(data, t), always_treat(t, cfg.tau),
+                               never_treat(t, cfg.tau))
 
         def risk(g):
             return float(np.sum(po.rho * g * g - 2.0 * q * g) / np.sum(po.rho))

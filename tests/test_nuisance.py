@@ -131,8 +131,8 @@ class TestFittedNuisances:
 
     def test_response_fit_tracks_truth(self):
         cfg, data, t, plan = _setup(n=3000)
-        models, log = fit_response_models(data, (plan,), hp=FAST, window=1)
-        assert [entry["time"] for entry in log] == [t + 1, t]
+        models = fit_response_models(data, (plan,), hp=FAST, window=1)
+        assert list(models) == [(0, t + 1), (0, t)]  # fitted backward
         feats = feature_matrix(data, t, window=1)
         st_ = State.from_dataset(data, t)
         truth = OracleNuisanceSet(cfg, plan).response_exact(t, st_)
